@@ -31,6 +31,7 @@ __all__ = [
     "per_mode_objective",
     "waterfill",
     "reconstruct_precoder",
+    "waterfill_design",
     "baseline_design",
 ]
 
@@ -223,11 +224,18 @@ def reconstruct_precoder(result: WaterfillResult, stats: ChannelStatistics) -> n
     return _reconstruct(np.asarray(result.mode_powers), stats)
 
 
-def baseline_design(config: SystemConfig, stats: ChannelStatistics | None = None) -> ProbeDesign:
-    """Equal phases plus water-filled precoder, scaled to the power budget."""
+def waterfill_design(
+    config: SystemConfig, stats: ChannelStatistics | None = None
+) -> tuple[ProbeDesign, WaterfillResult]:
+    """The baseline design together with the water-filling allocation behind it."""
     if stats is None:
         stats = channel_statistics(config)
     phases = equal_phase_vector(config.L)
     var = effective_variance(phases, stats)
     wf = waterfill(stats, var, config.power_a, config.power_b, config.noise)
-    return ProbeDesign(precoder=np.sqrt(config.power_a) * wf.precoder, phases=phases)
+    return ProbeDesign(precoder=np.sqrt(config.power_a) * wf.precoder, phases=phases), wf
+
+
+def baseline_design(config: SystemConfig, stats: ChannelStatistics | None = None) -> ProbeDesign:
+    """Equal phases plus water-filled precoder, scaled to the power budget."""
+    return waterfill_design(config, stats)[0]

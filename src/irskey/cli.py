@@ -11,10 +11,10 @@ import sys
 import numpy as np
 
 from . import experiments, neural
-from .baseline import baseline_design, equal_phase_vector, waterfill
+from .baseline import baseline_design, waterfill_design
 from .channel import SystemConfig, channel_statistics, mw_to_dbm
 from .errors import ConfigError, NumericalError
-from .skr import effective_variance, skr_closed_form, skr_monte_carlo
+from .skr import skr_closed_form, skr_monte_carlo
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERICAL", "EXIT_IO"]
 
@@ -89,20 +89,9 @@ def _cmd_skr(args) -> int:
         design = baseline_design(system, stats)
         bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
     elif args.method == "random":
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        rng = np.random.default_rng(seed)
-        draws = np.array(
-            [
-                skr_closed_form(
-                    experiments.random_design(system, rng), stats, system.power_b, system.noise
-                ).bits
-                for _ in range(args.trials)
-            ]
+        bits, std_error = experiments.random_design_bits(
+            system, stats, np.random.default_rng(seed), args.trials
         )
-        bits = float(draws.mean())
-        if args.trials > 1:
-            std_error = float(draws.std(ddof=1) / np.sqrt(args.trials))
     else:
         if args.checkpoint is None:
             raise ConfigError("pkg_net method needs --checkpoint")
@@ -134,9 +123,7 @@ def _cmd_skr(args) -> int:
 def _cmd_baseline(args) -> int:
     system, _, _ = _load(args)
     stats = channel_statistics(system)
-    var = effective_variance(equal_phase_vector(system.L), stats)
-    result = waterfill(stats, var, system.power_a, system.power_b, system.noise)
-    design = baseline_design(system, stats)
+    design, result = waterfill_design(system, stats)
     bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
     out_dir = _ensure_out(args)
     payload = {

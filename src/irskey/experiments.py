@@ -15,6 +15,7 @@ import numpy as np
 from . import neural
 from .baseline import baseline_design
 from .channel import (
+    ChannelStatistics,
     SystemConfig,
     channel_statistics,
     dbm_to_mw,
@@ -22,7 +23,7 @@ from .channel import (
 )
 from .errors import ConfigError
 from .probing import ProbeDesign
-from .skr import skr_closed_form
+from .skr import closed_form_bits, skr_closed_form
 
 __all__ = [
     "SweepSpec",
@@ -31,6 +32,7 @@ __all__ = [
     "VARIABLES",
     "METHODS",
     "random_design",
+    "random_design_bits",
     "run_sweep",
     "write_csv",
     "read_csv",
@@ -62,6 +64,10 @@ class SweepSpec:
             raise ConfigError("sweep values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"sweep values must be strictly increasing, got {self.values}")
+        if self.variable in ("m", "l"):
+            for val in self.values:
+                if not (float(val).is_integer() and val >= 1):
+                    raise ConfigError(f"{self.variable} values must be positive integers, got {val}")
         if self.variable == "l":
             for val in self.values:
                 root = math.isqrt(int(val))
@@ -97,6 +103,29 @@ def random_design(config: SystemConfig, rng: np.random.Generator) -> ProbeDesign
     raw *= math.sqrt(m * config.power_a / float(np.sum(np.abs(raw) ** 2)))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, config.L))
     return ProbeDesign(precoder=raw, phases=phases)
+
+
+def random_design_bits(
+    config: SystemConfig, stats: ChannelStatistics, rng: np.random.Generator, trials: int
+) -> tuple[float, float | None]:
+    """Mean closed-form SKR over ``trials`` random designs, and its standard error.
+
+    The designs are drawn one after another from ``rng``, in the order of
+    repeated ``random_design`` calls, and evaluated in one batched kernel call.
+    The standard error is None for a single trial.
+    """
+    if trials < 1:
+        raise ConfigError(f"random trials must be >= 1, got {trials}")
+    designs = [random_design(config, rng) for _ in range(trials)]
+    draws = closed_form_bits(
+        np.stack([d.precoder for d in designs]),
+        np.stack([d.phases for d in designs]),
+        stats,
+        config.power_b,
+        config.noise,
+    )
+    std_error = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
+    return float(draws.mean()), std_error
 
 
 def _override(base: SystemConfig, variable: str, value) -> SystemConfig:
@@ -158,17 +187,7 @@ def _evaluate_point(
             bits = skr_closed_form(design, stats, cfg.power_b, cfg.noise).bits
         elif method == "random":
             rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-            draws = np.array(
-                [
-                    skr_closed_form(
-                        random_design(cfg, rng), stats, cfg.power_b, cfg.noise
-                    ).bits
-                    for _ in range(spec.trials)
-                ]
-            )
-            bits = float(draws.mean())
-            if spec.trials > 1:
-                std_error = float(draws.std(ddof=1) / math.sqrt(spec.trials))
+            bits, std_error = random_design_bits(cfg, stats, rng, spec.trials)
         else:  # pkg_net
             bits = _pkg_net_bits(cfg, stats, index, train_config, checkpoint_dir)
         rows.append(

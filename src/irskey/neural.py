@@ -104,6 +104,20 @@ class TrainConfig:
             raise ConfigError("ue_region must span a nonempty rectangle")
 
 
+def _param_shapes(M: int, L: int, hidden: int) -> dict:
+    """Shape of every parameter block, in PARAM_FIELDS order."""
+    return {
+        "W1": (hidden, 3),
+        "b1": (hidden,),
+        "W2": (hidden, hidden),
+        "b2": (hidden,),
+        "Wp": (2 * M * M, hidden),
+        "bp": (2 * M * M,),
+        "Wt": (2 * L, hidden),
+        "bt": (2 * L,),
+    }
+
+
 def init_params(M: int, L: int, rng: np.random.Generator, hidden: int = HIDDEN) -> NetParams:
     """Glorot-uniform weights drawn in order W1, W2, Wp, Wt; zero biases."""
 
@@ -112,14 +126,10 @@ def init_params(M: int, L: int, rng: np.random.Generator, hidden: int = HIDDEN) 
         return rng.uniform(-limit, limit, (out_dim, in_dim))
 
     return NetParams(
-        W1=glorot(hidden, 3),
-        b1=np.zeros(hidden),
-        W2=glorot(hidden, hidden),
-        b2=np.zeros(hidden),
-        Wp=glorot(2 * M * M, hidden),
-        bp=np.zeros(2 * M * M),
-        Wt=glorot(2 * L, hidden),
-        bt=np.zeros(2 * L),
+        **{
+            name: glorot(*shape) if name.startswith("W") else np.zeros(shape)
+            for name, shape in _param_shapes(M, L, hidden).items()
+        }
     )
 
 
@@ -494,7 +504,13 @@ def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> No
 
 
 def load_checkpoint(path: str):
-    """Inverse of save_checkpoint; returns (params, metadata dict)."""
+    """Inverse of save_checkpoint; returns (params, metadata dict).
+
+    Every way a file can fail to be a checkpoint written by save_checkpoint
+    (bad header, header sizes that disagree with the block shapes, a blob
+    shorter or longer than those shapes, non-finite weights) raises
+    ConfigError; only failing to read the file raises OSError.
+    """
     with open(path, "rb") as fh:
         header = fh.readline()
         blob = fh.read()
@@ -502,16 +518,34 @@ def load_checkpoint(path: str):
         meta = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"not a checkpoint file: {path}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"not a checkpoint file: {path}")
     if meta.get("format") != _CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format in {path}: {meta.get('format')!r}")
+    sizes = [meta.get(key) for key in ("M", "L", "hidden")]
+    if not all(type(n) is int and n >= 1 for n in sizes):
+        raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
+    shapes = _param_shapes(*sizes)
+    if meta.get("fields") != list(shapes) or meta.get("shapes") != {
+        name: list(shape) for name, shape in shapes.items()
+    }:
+        raise ConfigError(
+            f"checkpoint {path}: block shapes do not match M={sizes[0]}, L={sizes[1]}, "
+            f"hidden={sizes[2]}"
+        )
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != expected:
+        kind = "truncated" if len(blob) < expected else "followed by trailing bytes"
+        raise ConfigError(f"checkpoint {path} is {kind}: {len(blob)} bytes, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f8").astype(float)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"checkpoint {path} holds non-finite weights")
     arrays = {}
     offset = 0
-    for name in meta["fields"]:
-        shape = tuple(meta["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        chunk = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = chunk.reshape(shape).astype(float)
-        offset += count * 8
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arrays[name] = values[offset : offset + count].reshape(shape)
+        offset += count
     return NetParams(**arrays), meta
 
 

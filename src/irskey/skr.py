@@ -18,6 +18,7 @@ from .probing import ProbeDesign, dft_pilot
 
 __all__ = [
     "SkrReport",
+    "closed_form_bits",
     "combined_covariance",
     "effective_variance",
     "skr_closed_form",
@@ -38,12 +39,15 @@ class SkrReport:
 
 
 def _hermitian_part(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Symmetrize, rejecting asymmetry beyond ``tol`` relative to the scale."""
+    """Symmetrize, rejecting asymmetry beyond ``tol`` relative to each matrix's scale.
+
+    Matrices may be stacked over leading axes; each is judged on its own scale.
+    """
     adj = np.swapaxes(mat, -1, -2).conj()
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    gap = float(np.abs(mat - adj).max(initial=0.0))
-    if gap > tol * scale:
-        raise NumericalError(f"matrix deviates from Hermitian by {gap:.3e}")
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
+    gap = np.abs(mat - adj).max(axis=(-2, -1), initial=0.0)
+    if np.any(gap > tol * scale):
+        raise NumericalError(f"matrix deviates from Hermitian by {float(np.max(gap)):.3e}")
     return 0.5 * (mat + adj)
 
 
@@ -80,13 +84,31 @@ def _assemble_joint(r_z: np.ndarray, gram: np.ndarray, power_b: float, noise: fl
     return joint
 
 
+def _signal_covariance(precoders: np.ndarray, phases: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
+    """var(phases) * P^T R_bs P^*, with precoders and phases stacked over leading axes.
+
+    The cascade covariance is block diagonal with reflected block
+    beta_bs_irs * beta_irs_ue * kron(R_irs o R_irs, R_bs), so its sandwich with
+    kron(phases_ext, P) collapses to the antenna correlation scaled by the
+    quadratic form of the squared surface correlation. The identity holds for
+    any phases; unit modulus is not required.
+    """
+    p = np.asarray(precoders)
+    theta = np.asarray(phases)
+    squared_corr = stats.R_irs * stats.R_irs
+    quad = np.real(np.sum(theta.conj() * (theta @ squared_corr), axis=-1))
+    var = stats.beta_direct + stats.beta_bs_irs * stats.beta_irs_ue * quad
+    return var[..., None, None] * (np.swapaxes(p, -1, -2) @ stats.R_bs @ p.conj())
+
+
 def combined_covariance(design: ProbeDesign, stats: ChannelStatistics) -> np.ndarray:
     """Covariance of the noiseless combined observation P^T (h + G dg(phases) f).
 
-    Computed as the sandwich of the cascade covariance with kron(phases_ext, P).
+    Equals the sandwich of the cascade covariance with kron(phases_ext, P),
+    evaluated in the factored form var(phases) * P^T R_bs P^* without building
+    the M(L+1)-square cascade covariance.
     """
-    sel = np.kron(design.phases_ext[:, None], design.precoder)
-    return sel.T @ stats.cascade_cov @ sel.conj()
+    return _signal_covariance(design.precoder, design.phases, stats)
 
 
 def effective_variance(phases: np.ndarray, stats: ChannelStatistics) -> float:
@@ -106,12 +128,34 @@ def effective_variance(phases: np.ndarray, stats: ChannelStatistics) -> float:
 
 
 _RANK_RTOL = 1e-12  # Gram eigenmodes below this fraction of the largest carry no signal
+# A key rate is a difference of two log-determinants; a negative result within
+# this fraction of their summed magnitudes (in bits) is roundoff and reads as 0.
+_CLAMP_RTOL = 1e-10
 
 
-def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:
-    """Exact SKR of the probing round for an arbitrary design.
+def _nonnegative_bits(bits: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Clamp roundoff-level negative rates to 0; reject larger ones and non-finite ones."""
+    bits = np.asarray(bits, dtype=float)
+    if not np.isfinite(bits).all():
+        raise NumericalError("key rate is not finite")
+    beyond = bits < -_CLAMP_RTOL * np.asarray(scale)
+    if np.any(beyond):
+        raise NumericalError(
+            f"key rate {float(bits[beyond].min()):.3e} bits is negative beyond roundoff"
+        )
+    return np.where(bits <= 0.0, 0.0, bits)
 
-    Evaluates logdet(R_b) - logdet(R_b|a) in the eigenbasis of the precoder
+
+def closed_form_bits(
+    precoders: np.ndarray,
+    phases: np.ndarray,
+    stats: ChannelStatistics,
+    power_b: float,
+    noise: float,
+) -> np.ndarray:
+    """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
+
+    Evaluates logdet(R_b) - logdet(R_b|a) in the eigenbasis of each precoder
     Gram matrix. The conditional covariance is assembled through the
     push-through identity, so every block is a sum of positive semidefinite
     pieces; the naive three-logdet combination cancels catastrophically once
@@ -121,48 +165,56 @@ def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: floa
     subspace; power-starved designs (e.g. water-filling at low SNR) stay
     evaluable, and the retained Gram eigenmodes have dynamic range below
     1/_RANK_RTOL by construction.
+
+    The retained rank differs between samples, so it is applied as a mask:
+    dropped modes get identity rows and columns in the restricted uplink
+    covariance and zero right-hand-side rows, which leaves the kept block's
+    solve unchanged and zeroes the dropped rows of its solution.
     """
-    gram = _hermitian_part(design.precoder.T @ design.precoder.conj())
+    p = np.asarray(precoders)
+    gram = _hermitian_part(np.swapaxes(p, -1, -2) @ p.conj())
     if not np.isfinite(gram).all():
         raise NumericalError("precoder Gram matrix has non-finite entries")
     evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    lam = evals[order]
-    top = float(lam[0])
-    if top <= 0.0:
-        return SkrReport(bits=0.0, method="closed_form")
-    r_z = _hermitian_part(combined_covariance(design, stats))
-    eigs = np.linalg.eigvalsh(r_z)
-    scale = max(1.0, float(np.abs(r_z).max(initial=0.0)))
-    if eigs.min() < -1e-10 * scale:
-        raise NumericalError(f"signal covariance indefinite (min eigenvalue {eigs.min():.3e})")
-    m = gram.shape[0]
-    rank = int(np.sum(lam > _RANK_RTOL * top))
-    basis = evecs[:, order]
-    z_rot = basis.conj().T @ r_z @ basis
-    z_rot = 0.5 * (z_rot + z_rot.conj().T)
-    lam_k = lam[:rank]
-    r_a = power_b * z_rot[:rank, :rank] + noise * np.diag(lam_k)
+    lam = evals[..., ::-1]
+    basis = evecs[..., ::-1]
+    top = lam[..., :1]
+    live = top[..., 0] > 0.0  # a zero precoder observes nothing: 0 bits
+    r_z = _hermitian_part(_signal_covariance(p, phases, stats))
+    scale = np.maximum(1.0, np.abs(r_z).max(axis=(-2, -1), initial=0.0))
+    eig_min = np.linalg.eigvalsh(r_z)[..., 0]
+    if np.any(eig_min < -1e-10 * scale):
+        raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
+    m = gram.shape[-1]
+    eye = np.eye(m)
+    keep = (lam > _RANK_RTOL * top) & live[..., None]
+    keep_i = keep[..., :, None]
+    keep_j = keep[..., None, :]
+    z_rot = np.swapaxes(basis, -1, -2).conj() @ r_z @ basis
+    z_rot = 0.5 * (z_rot + np.swapaxes(z_rot, -1, -2).conj())
+    r_a = np.where(keep_i & keep_j, power_b * z_rot + noise * (lam[..., None] * eye), eye)
     try:
-        x = np.linalg.solve(r_a, z_rot[:rank, :])
+        x = np.linalg.solve(r_a, np.where(keep_i, z_rot, 0.0))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"restricted uplink covariance is singular: {exc}") from exc
     # conditional covariance of y_b given y_a, in units of the noise power:
-    # kept block I + Lambda_k X, coupling Lambda_k X, dropped block carries
-    # only the (unobserved) residual signal
-    cond = np.empty((m, m), dtype=complex)
-    scaled = lam_k[:, None] * x
-    cond[:rank, :rank] = np.eye(rank) + scaled[:, :rank]
-    cond[:rank, rank:] = scaled[:, rank:]
-    cond[rank:, :rank] = scaled[:, rank:].conj().T
-    cond[rank:, rank:] = np.eye(m - rank) + (
-        z_rot[rank:, rank:] - power_b * z_rot[:rank, rank:].conj().T @ x[:, rank:]
-    ) / noise
-    cond = 0.5 * (cond + cond.conj().T)  # solver roundoff only; Hermitian by construction
-    ld_b = _logdet_psd(z_rot + noise * np.eye(m))
+    # kept rows I + Lambda_k X, the coupling mirrored below them, and a dropped
+    # block carrying only the (unobserved) residual signal
+    scaled = lam[..., :, None] * x
+    residual = (z_rot - power_b * z_rot @ x) / noise
+    mirrored = np.swapaxes(scaled, -1, -2).conj()
+    cond = eye + np.where(keep_i, scaled, np.where(keep_j, mirrored, residual))
+    cond = 0.5 * (cond + np.swapaxes(cond, -1, -2).conj())  # solver roundoff only
+    ld_b = _logdet_psd(z_rot + noise * eye)
     ld_cond = _logdet_psd(cond) + m * math.log(noise)
-    bits = float((ld_b - ld_cond) / _LN2)
-    return SkrReport(bits=max(bits, 0.0), method="closed_form")
+    bits = np.where(live, (ld_b - ld_cond) / _LN2, 0.0)
+    return _nonnegative_bits(bits, (np.abs(ld_b) + np.abs(ld_cond)) / _LN2)
+
+
+def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:
+    """Exact SKR of the probing round for an arbitrary design (``closed_form_bits`` with K = 1)."""
+    bits = closed_form_bits(design.precoder[None], design.phases[None], stats, power_b, noise)
+    return SkrReport(bits=float(bits[0]), method="closed_form")
 
 
 def skr_approximate(
@@ -194,8 +246,8 @@ def skr_approximate(
     sig = power_a * var * q
     num = np.log2(power_b * sig + noise * power_a) + np.log2(sig + noise)
     den = np.log2(noise * power_b * sig + noise * power_a * sig + power_a * noise**2)
-    bits = float(np.sum(num - den))
-    return SkrReport(bits=max(bits, 0.0), method="approximate")
+    bits = _nonnegative_bits(np.sum(num - den), np.sum(np.abs(num) + np.abs(den)))
+    return SkrReport(bits=float(bits), method="approximate")
 
 
 def skr_monte_carlo(

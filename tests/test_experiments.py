@@ -13,6 +13,7 @@ from irskey import (
     SweepSpec,
     SystemConfig,
     TrainConfig,
+    channel_statistics,
     load_experiment_config,
     random_design,
     read_csv,
@@ -23,6 +24,7 @@ from irskey import (
     write_plot_script,
 )
 from irskey import cli
+from irskey.experiments import random_design_bits
 
 
 TINY_TRAIN = TrainConfig(epochs=1, samples_per_epoch=20, batch_size=10, seed=0)
@@ -55,8 +57,38 @@ def test_sweep_spec_validation():
         SweepSpec("m", (2, 4), trials=0)
 
 
+def test_sweep_spec_rejects_non_integer_sizes(tmp_path):
+    # _override would otherwise run these as M=4 and L=16 through int()
+    with pytest.raises(ConfigError):
+        SweepSpec("m", (2, 4.5))
+    with pytest.raises(ConfigError):
+        SweepSpec("l", (9, 16.7))
+    SweepSpec("m", (2.0, 4.0))  # integral floats, as the INI reader produces
+    for variable, values in (("m", "2, 4.5"), ("l", "9, 16.7")):
+        path = tmp_path / f"{variable}.ini"
+        path.write_text(f"[sweep]\nvariable = {variable}\nvalues = {values}\n")
+        with pytest.raises(ConfigError):
+            load_experiment_config(str(path))
+
+
 # --------------------------------------------------------------------------
 # random reference configuration
+
+
+def test_random_design_bits_matches_scalar_loop():
+    cfg = SystemConfig(M=4, L_h=3, L_v=3)
+    stats = channel_statistics(cfg)
+    rng = np.random.default_rng(3)
+    draws = np.array(
+        [skr_closed_form(random_design(cfg, rng), stats, cfg.power_b, cfg.noise).bits
+         for _ in range(12)]
+    )
+    bits, std_error = random_design_bits(cfg, stats, np.random.default_rng(3), 12)
+    assert bits == pytest.approx(draws.mean(), rel=1e-12)
+    assert std_error == pytest.approx(draws.std(ddof=1) / math.sqrt(12), rel=1e-9)
+    assert random_design_bits(cfg, stats, np.random.default_rng(3), 1)[1] is None
+    with pytest.raises(ConfigError):
+        random_design_bits(cfg, stats, rng, 0)
 
 
 def test_random_design_is_feasible(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -333,6 +334,60 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
     bad.write_text('{"format": "something-else"}\n')
     with pytest.raises(ConfigError):
         load_checkpoint(str(bad))
+    bad.write_text("[1, 2]\n")  # valid JSON, but not a header object
+    with pytest.raises(ConfigError):
+        load_checkpoint(str(bad))
+
+
+def _saved_checkpoint(tmp_path, rng, M=2, L=4):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), init_params(M, L, rng), seed=0)
+    return path
+
+
+def test_load_checkpoint_rejects_truncated_blob(tmp_path, rng):
+    path = _saved_checkpoint(tmp_path, rng)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(ConfigError, match="truncated"):
+        load_checkpoint(str(path))
+
+
+def test_load_checkpoint_rejects_trailing_bytes(tmp_path, rng):
+    path = _saved_checkpoint(tmp_path, rng)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ConfigError, match="trailing"):
+        load_checkpoint(str(path))
+
+
+def test_load_checkpoint_rejects_header_sizes_disagreeing_with_blocks(tmp_path, rng):
+    path = _saved_checkpoint(tmp_path, rng)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    for key, value in (("M", 3), ("L", 9), ("hidden", 100), ("M", 0), ("L", "4")):
+        meta = json.loads(header)
+        meta[key] = value
+        path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
+        with pytest.raises(ConfigError):
+            load_checkpoint(str(path))
+
+
+def test_load_checkpoint_rejects_non_finite_weights(tmp_path, rng):
+    params = init_params(2, 4, rng)
+    params.W2[3, 5] = np.inf
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), params)
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_checkpoint(str(path))
+
+
+def test_cli_truncated_checkpoint_is_a_config_error(tmp_path, rng):
+    from irskey import cli
+
+    path = _saved_checkpoint(tmp_path, rng, M=4, L=25)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    argv = ["skr", "--method", "pkg_net", "--checkpoint", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
 
 
 def test_params_vector_roundtrip(rng):

@@ -1,0 +1,120 @@
+"""Property tests of the batched closed-form kernel and the factored signal covariance.
+
+Ranges: M <= 8, L <= 36, antenna correlation in [0, 0.99), both powers in
+-10...70 dBm, and precoders of every rank from 0 (all zero) to M, some with
+a component just below the kernel's rank cutoff added.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irskey import ProbeDesign, SystemConfig, cascade_covariance, channel_statistics, dbm_to_mw
+from irskey.skr import _RANK_RTOL, closed_form_bits, combined_covariance
+
+
+def _reference_bits(p, theta, stats, power_b, noise):
+    """One design at a time, on the dense cascade sandwich, slicing the kept rank.
+
+    The same rank-restricted conditional form as the kernel, written without
+    masks or batching, as the closed form was before it became a kernel.
+    """
+    sel = np.kron(np.concatenate([[1.0], theta])[:, None], p)
+    r_z = sel.T @ cascade_covariance(stats) @ sel.conj()
+    r_z = 0.5 * (r_z + r_z.conj().T)
+    gram = p.T @ p.conj()
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    order = np.argsort(evals)[::-1]
+    lam, basis = evals[order], evecs[:, order]
+    if lam[0] <= 0.0:
+        return 0.0
+    m = len(lam)
+    rank = int(np.sum(lam > _RANK_RTOL * lam[0]))
+    z_rot = basis.conj().T @ r_z @ basis
+    z_rot = 0.5 * (z_rot + z_rot.conj().T)
+    r_a = power_b * z_rot[:rank, :rank] + noise * np.diag(lam[:rank])
+    x = np.linalg.solve(r_a, z_rot[:rank, :])
+    scaled = lam[:rank, None] * x
+    cond = np.empty((m, m), dtype=complex)
+    cond[:rank, :rank] = np.eye(rank) + scaled[:, :rank]
+    cond[:rank, rank:] = scaled[:, rank:]
+    cond[rank:, :rank] = scaled[:, rank:].conj().T
+    cond[rank:, rank:] = np.eye(m - rank) + (
+        z_rot[rank:, rank:] - power_b * z_rot[:rank, rank:].conj().T @ x[:, rank:]
+    ) / noise
+    cond = 0.5 * (cond + cond.conj().T)
+    ld_b = np.linalg.slogdet(z_rot + noise * np.eye(m))[1]
+    ld_cond = np.linalg.slogdet(cond)[1] + m * math.log(noise)
+    return max((ld_b - ld_cond) / math.log(2.0), 0.0)
+
+
+@st.composite
+def scenarios(draw):
+    m = draw(st.integers(1, 8))
+    cfg = SystemConfig(
+        M=m,
+        L_h=draw(st.integers(1, 6)),
+        L_v=draw(st.integers(1, 6)),
+        eta=draw(st.floats(0.0, 0.99, exclude_max=True)),
+        power_a=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
+        power_b=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
+    )
+    ranks = draw(st.lists(st.integers(0, m), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    precoders = []
+    for rank in ranks:
+        left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        right = rng.standard_normal((rank, m)) + 1j * rng.standard_normal((rank, m))
+        p = left @ right
+        if 0 < rank < m and rng.uniform() < 0.5:
+            # a full-rank remainder whose Gram eigenvalues fall just under the cutoff
+            tiny = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            p += 10.0 ** rng.uniform(-7.5, -6.5) * np.abs(p).max() * tiny
+        if rank > 0:
+            p *= math.sqrt(m * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+        precoders.append(p)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(ranks), cfg.L)))
+    return cfg, np.stack(precoders), phases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_batched_kernel_equals_single_design_calls(scenario):
+    cfg, precoders, phases = scenario
+    stats = channel_statistics(cfg)
+    batch = closed_form_bits(precoders, phases, stats, cfg.power_b, cfg.noise)
+    single = np.array([
+        closed_form_bits(precoders[k : k + 1], phases[k : k + 1], stats, cfg.power_b, cfg.noise)[0]
+        for k in range(len(precoders))
+    ])
+    assert batch.shape == (len(precoders),)
+    assert np.all(batch >= 0.0)
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_kernel_matches_per_design_reference(scenario):
+    cfg, precoders, phases = scenario
+    stats = channel_statistics(cfg)
+    batch = closed_form_bits(precoders, phases, stats, cfg.power_b, cfg.noise)
+    reference = [
+        _reference_bits(p, theta, stats, cfg.power_b, cfg.noise) for p, theta in zip(precoders, phases)
+    ]
+    np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios())
+def test_factored_covariance_equals_dense_cascade_sandwich(scenario):
+    cfg, precoders, phases = scenario
+    stats = channel_statistics(cfg)
+    dense_cov = cascade_covariance(stats)
+    for p, theta in zip(precoders, phases):
+        design = ProbeDesign(precoder=p, phases=theta)
+        sel = np.kron(design.phases_ext[:, None], p)
+        dense = sel.T @ dense_cov @ sel.conj()
+        factored = combined_covariance(design, stats)
+        assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()

@@ -19,6 +19,7 @@ from irskey import (
     skr_closed_form,
     skr_monte_carlo,
 )
+from irskey import skr
 
 _LN2 = math.log(2.0)
 
@@ -176,6 +177,25 @@ def test_closed_form_continuous_across_rank_boundary(rng):
     assert abs(bits_at(1e-5) - limit) < 1e-3
     assert abs(bits_at(1e-7) - limit) < 1e-7
     assert limit > 0.0
+
+
+def test_closed_form_rejects_negative_rate_beyond_roundoff(small_stats, rng, monkeypatch):
+    # a flipped sign on every rate stands in for a sign bug: it must not read as 0 bits
+    des = _random_design(2, 4, rng)
+    assert skr_closed_form(des, small_stats, 10.0, 1e-9).bits > 0.0
+    monkeypatch.setattr(skr, "_LN2", -math.log(2.0))
+    with pytest.raises(NumericalError):
+        skr_closed_form(des, small_stats, 10.0, 1e-9)
+
+
+def test_negative_rate_clamp_tolerance():
+    scale = np.array([100.0, 100.0])
+    tiny = -0.5 * skr._CLAMP_RTOL * scale
+    npt.assert_array_equal(skr._nonnegative_bits(np.array([tiny[0], 2.5]), scale), [0.0, 2.5])
+    with pytest.raises(NumericalError):
+        skr._nonnegative_bits(np.array([-2.0 * skr._CLAMP_RTOL * 100.0, 2.5]), scale)
+    with pytest.raises(NumericalError):
+        skr._nonnegative_bits(np.array([np.nan, 2.5]), scale)
 
 
 def test_closed_form_rejects_nonfinite_precoder(small_stats):
