@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import ChannelStatistics, SystemConfig, channel_statistics
 from .errors import ConfigError, NumericalError
@@ -36,7 +35,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_MODE_FLOOR = 1e-12  # eigenvalues below this are treated as inactive
+_MODE_FLOOR = 1e-12  # correlation eigenvalues below this cannot be whitened
+_EPS = 4.0 * np.finfo(float).eps  # relative step at which a Newton iteration has converged
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class WaterfillResult:
     mode_powers: np.ndarray
     water_level: float
     objective_bits: float
-    precoder: np.ndarray
 
 
 def equal_phase_vector(L: int, phase: float = 0.0) -> np.ndarray:
@@ -72,46 +72,93 @@ def per_mode_objective(q: float, var: float, power_a: float, power_b: float, noi
 
 
 def _marginal_nats(q: float, a: float, b: float) -> float:
-    # d/dq of ln((aq+1)(bq+1)/(cq+1)); positive for q >= 0, peaks once, then ~1/q.
+    # d/dq of ln((aq+1)(bq+1)/(cq+1)) over one denominator; the three-term sum
+    # a/(aq+1) + b/(bq+1) - c/(cq+1) cancels once aq and bq are large.
     c = a + b
-    return a / (a * q + 1.0) + b / (b * q + 1.0) - c / (c * q + 1.0)
+    return a * b * q * (c * q + 2.0) / ((a * q + 1.0) * (b * q + 1.0) * (c * q + 1.0))
 
 
-def _marginal_slope_nats(q: float, a: float, b: float) -> float:
+def _log_slope(q: float, a: float, b: float) -> float:
+    # d/dq of ln(marginal); positive below the peak, negative above it.
     c = a + b
-    return -((a / (a * q + 1.0)) ** 2) - (b / (b * q + 1.0)) ** 2 + (c / (c * q + 1.0)) ** 2
+    return (1.0 - a * b * q * q) / (q * (a * q + 1.0) * (b * q + 1.0)) - c / ((c * q + 1.0) * (c * q + 2.0))
 
 
-def _marginal_peak(a: float, b: float) -> tuple[float, float]:
-    """Location and value of the maximum of the marginal utility."""
-    hi = 1.0 / math.sqrt(a * b)
-    while _marginal_slope_nats(hi, a, b) > 0.0:
-        hi *= 2.0
-    q_peak = brentq(_marginal_slope_nats, 0.0, hi, args=(a, b), xtol=1e-18, rtol=1e-15)
-    return q_peak, _marginal_nats(q_peak, a, b)
+def _marginal_peak(a: float, b: float) -> float:
+    """Location of the maximum of the marginal utility.
+
+    With q = x / sqrt(ab) and r = (a + b) / sqrt(ab), the log-slope vanishes
+    where r^2 x^4 + 4 r x^3 + 2 x^2 - 2 r x - 2 = 0, a quartic convex on x >= 0
+    and negative at 0: Newton from where it is positive descends onto the root.
+    """
+    r = (a + b) / math.sqrt(a * b)
+    x = min(1.0, 2.0 * (2.0 / r) ** (1.0 / 3.0))  # the quartic is positive here
+    for _ in range(_MAX_ITER):
+        rx = r * x
+        step = (x * x * (rx * (rx + 4.0) + 2.0) - 2.0 * (rx + 1.0)) / (
+            x * (rx * (4.0 * rx + 12.0) + 4.0) - 2.0 * r
+        )
+        if not step > _EPS * x:
+            return x / math.sqrt(a * b)
+        x -= step
+    raise NumericalError("water-filling: the marginal-utility peak search did not converge")
 
 
-def _mode_power(w_nats: float, a: float, b: float, q_peak: float, w_peak: float) -> float:
-    """Largest q with marginal utility w, on the decreasing branch; 0 if unreachable."""
-    if w_nats >= w_peak:
-        return 0.0
-    hi = 2.0 * q_peak + 1.0
-    while _marginal_nats(hi, a, b) > w_nats:
-        hi *= 2.0
-    root = brentq(
-        lambda q: _marginal_nats(q, a, b) - w_nats, q_peak, hi, xtol=1e-18, rtol=1e-15
-    )
-    # Newton polish toward the 1e-12 inner-solve target
-    for _ in range(3):
-        resid = _marginal_nats(root, a, b) - w_nats
-        slope = _marginal_slope_nats(root, a, b)
-        if slope == 0.0:
+def _mode_power(w_nats: float, a: float, b: float, q_peak: float) -> float:
+    """The q above the peak with marginal utility ``w_nats`` (below the peak value).
+
+    Newton on 1/marginal(q) - 1/w, which is convex in q and nearly linear above
+    the peak. The start max(1/w, 2 q_peak) lies above the root (marginal(q) <
+    1/q), so the iterates descend monotonically onto it.
+    """
+    q = max(1.0 / w_nats, 2.0 * q_peak)
+    for _ in range(_MAX_ITER):
+        step = (_marginal_nats(q, a, b) / w_nats - 1.0) / _log_slope(q, a, b)
+        if not step > _EPS * q:
+            return q
+        q -= step
+    raise NumericalError("water-filling: a mode-power solve did not converge")
+
+
+def _active_set_powers(p_modes: list[float], m: int, a: float, b: float, q_peak: float, tol: float):
+    """(all M powers, multiplier in nats) putting every given mode above the
+    peak within budget, or None when even the least such allocation exceeds it.
+
+    The unknown is tau, the weakest mode's power; the others equalize the
+    multiplier, marginal(q_i) p_i = marginal(tau) p_k. The budget gap rises
+    with tau from q_peak to M p_k, and Newton safeguarded by bisection finds
+    its root.
+    """
+    p_k = p_modes[-1]
+    # modes tied with the weakest share tau: near the flat peak they would not resolve apart
+    tied = [p <= p_k * (1.0 + 1e-12) for p in p_modes]
+
+    def gap_and_powers(tau: float) -> tuple[float, list[float]]:
+        w_nats = _marginal_nats(tau, a, b) * p_k
+        q = [tau if t else _mode_power(w_nats / p, a, b, q_peak) for t, p in zip(tied, p_modes)]
+        return sum(qi / p for qi, p in zip(q, p_modes)) - m, q
+
+    lo, hi = q_peak, m * p_k
+    if gap_and_powers(lo)[0] > 0.0:
+        return None
+    beta = ((a + b) ** 2 - a * b) / (a * b * (a + b))  # 1/marginal(q) ~ q + beta for large q
+    tau = p_k * (m + beta * sum(1.0 / p for p in p_modes)) / len(p_modes) - beta
+    for _ in range(_MAX_ITER):
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+        gap, q = gap_and_powers(tau)
+        lo, hi = (lo, tau) if gap > 0.0 else (tau, hi)
+        s_tau = min(_log_slope(tau, a, b), 0.0)
+        # d q_i / d tau = s(tau) / s(q_i) keeps the multipliers equal
+        step = gap / sum((1.0 if t else s_tau / _log_slope(qi, a, b)) / p for t, qi, p in zip(tied, q, p_modes))
+        if abs(step) <= _EPS * tau or hi - lo <= _EPS * hi:
             break
-        step = resid / slope
-        if root - step <= 0.0:
-            break
-        root -= step
-    return root
+        tau -= step
+    else:
+        raise NumericalError("water-filling: the multiplier search did not converge")
+    if abs(gap) > tol:
+        raise NumericalError(f"water-filling budget residual {abs(gap):.3e} exceeds {tol:.1e}")
+    return q + [0.0] * (m - len(q)), _marginal_nats(tau, a, b) * p_k
 
 
 def waterfill(
@@ -124,93 +171,33 @@ def waterfill(
 ) -> WaterfillResult:
     """Allocate mode powers maximizing the approximate SKR under the budget.
 
-    Outer root-find on the multiplier until sum(q_i / p_i) = M within ``tol``;
-    inner per-mode scalar solves to 1e-12. When the budget equation has no
-    root with all modes active (the marginal utility is not concave near 0,
-    so the active set can collapse discontinuously), the allocation is
-    recomputed over the best leading subset of modes.
+    Each active set of the k leading modes, all on the decreasing branch of
+    the marginal utility, is solved to rounding for equal multipliers under
+    sum(q_i / p_i) = M (a residual above ``tol`` raises NumericalError); the
+    marginal utility is not concave near 0, so the active set can collapse
+    discontinuously. The single-mode corner q = (M p_1, 0, ...) is a
+    candidate too: the k = 1 solution, and the optimum when no mode can pass
+    the peak, where the utility is convex on the feasible set. The best wins.
     """
     if tol <= 0.0:
         raise ConfigError("tolerance must be positive")
     if var <= 0.0 or power_a <= 0.0 or power_b <= 0.0 or noise <= 0.0:
         raise ConfigError("powers, noise, and effective variance must be positive")
-    eigvals, eigvecs = np.linalg.eigh(stats.R_bs)
-    p_modes = eigvals[::-1].copy()
-    m = p_modes.size
-    if p_modes[-1] < -_MODE_FLOOR:
-        raise NumericalError(f"antenna correlation matrix indefinite (eig {p_modes[-1]:.3e})")
+    p = [float(x) for x in np.linalg.eigvalsh(stats.R_bs)[::-1]]
+    m = len(p)
+    if p[-1] < _MODE_FLOOR:
+        raise NumericalError(f"antenna correlation matrix is singular or indefinite (eig {p[-1]:.3e})")
     a = power_b * var / noise
     b = power_a * var / noise
-    q_peak, w_peak = _marginal_peak(a, b)
-    n_usable = int(np.sum(p_modes > _MODE_FLOOR))
-    if n_usable == 0:
-        raise NumericalError("all correlation eigenmodes are degenerate")
-
-    def allocation(mu_nats: float, k: int) -> np.ndarray:
-        q = np.zeros(m)
-        for i in range(k):
-            q[i] = _mode_power(mu_nats / p_modes[i], a, b, q_peak, w_peak)
-        return q
-
-    def budget_gap(mu_nats: float, k: int) -> float:
-        q = allocation(mu_nats, k)
-        return float(np.sum(q[:k] / p_modes[:k])) - m
-
-    best: tuple[float, np.ndarray, float] | None = None
-    for k in range(n_usable, 0, -1):
-        if k < n_usable and p_modes[k - 1] - p_modes[k] <= 1e-15 * p_modes[0]:
-            continue  # never split tied modes across the active boundary
-        # keep all k leading modes strictly on the decreasing branch
-        mu_max = w_peak * p_modes[k - 1] * (1.0 - 1e-12)
-        if budget_gap(mu_max, k) > 0.0:
-            continue  # cannot reach the budget with k modes active
-        mu_lo = mu_max
-        while budget_gap(mu_lo, k) < 0.0:
-            mu_lo *= 0.5
-        mu = brentq(budget_gap, mu_lo, mu_max, args=(k,), xtol=1e-18, rtol=1e-15, maxiter=200)
-        # Newton polish on the budget equation; slope from the inverse marginal
-        for _ in range(50):
-            q = allocation(mu, k)
-            gap = float(np.sum(q[:k] / p_modes[:k])) - m
-            if abs(gap) <= 0.1 * tol:
-                break
-            slope = sum(
-                1.0 / (p_modes[i] ** 2 * _marginal_slope_nats(q[i], a, b)) for i in range(k)
-            )
-            if slope >= 0.0:
-                break
-            mu -= gap / slope
-        q = allocation(mu, k)
-        gap = abs(float(np.sum(q / p_modes[:m])) - m)
-        if gap > tol:
-            continue
-        obj = sum(per_mode_objective(qi, var, power_a, power_b, noise) for qi in q)
-        if best is None or obj > best[2]:
-            best = (mu, q, obj)
-    if best is None:
-        raise NumericalError(
-            "water-filling did not converge: no active set meets the budget on "
-            "the decreasing marginal-utility branch"
-        )
-    mu_nats, q, obj = best
-    precoder = _reconstruct(q, stats)
-    return WaterfillResult(
-        mode_powers=q,
-        water_level=mu_nats / _LN2,
-        objective_bits=obj,
-        precoder=precoder,
-    )
-
-
-def _reconstruct(mode_powers: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(stats.R_bs)
-    p_modes = eigvals[::-1]
-    basis = eigvecs[:, ::-1]
-    if p_modes[-1] < _MODE_FLOOR:
-        raise NumericalError("antenna correlation matrix is singular; cannot whiten")
-    inv_sqrt = (basis / np.sqrt(p_modes)) @ basis.conj().T
-    scaled = (basis * np.sqrt(mode_powers)) @ basis.conj().T
-    return (inv_sqrt @ scaled).conj()
+    q_peak = _marginal_peak(a, b)
+    options = [_active_set_powers(p[:k], m, a, b, q_peak, tol) for k in range(m, 1, -1)]
+    options.append(([m * p[0]] + [0.0] * (m - 1), _marginal_nats(m * p[0], a, b) * p[0]))
+    scored = [
+        (sum(per_mode_objective(qi, var, power_a, power_b, noise) for qi in q), q, mu)
+        for q, mu in filter(None, options)
+    ]
+    obj, q, mu_nats = max(scored, key=lambda option: option[0])  # first of equals: most modes
+    return WaterfillResult(mode_powers=np.array(q), water_level=mu_nats / _LN2, objective_bits=obj)
 
 
 def reconstruct_precoder(result: WaterfillResult, stats: ChannelStatistics) -> np.ndarray:
@@ -221,7 +208,14 @@ def reconstruct_precoder(result: WaterfillResult, stats: ChannelStatistics) -> n
     equal to ``mode_powers`` and its Gram trace equals M by the budget
     constraint.
     """
-    return _reconstruct(np.asarray(result.mode_powers), stats)
+    eigvals, eigvecs = np.linalg.eigh(stats.R_bs)
+    p_modes = eigvals[::-1]
+    basis = eigvecs[:, ::-1]
+    if p_modes[-1] < _MODE_FLOOR:
+        raise NumericalError("antenna correlation matrix is singular; cannot whiten")
+    inv_sqrt = (basis / np.sqrt(p_modes)) @ basis.conj().T
+    scaled = (basis * np.sqrt(np.asarray(result.mode_powers))) @ basis.conj().T
+    return (inv_sqrt @ scaled).conj()
 
 
 def waterfill_design(
@@ -233,7 +227,8 @@ def waterfill_design(
     phases = equal_phase_vector(config.L)
     var = effective_variance(phases, stats)
     wf = waterfill(stats, var, config.power_a, config.power_b, config.noise)
-    return ProbeDesign(precoder=np.sqrt(config.power_a) * wf.precoder, phases=phases), wf
+    precoder = np.sqrt(config.power_a) * reconstruct_precoder(wf, stats)
+    return ProbeDesign(precoder=precoder, phases=phases), wf
 
 
 def baseline_design(config: SystemConfig, stats: ChannelStatistics | None = None) -> ProbeDesign:

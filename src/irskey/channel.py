@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError, NumericalError
 
@@ -120,7 +119,8 @@ def bs_correlation(eta: float, M: int) -> np.ndarray:
         raise ConfigError(f"antenna correlation must lie in [0, 1), got {eta}")
     if M < 1:
         raise ConfigError("antenna count must be >= 1")
-    return toeplitz(eta ** np.arange(M))
+    n = np.arange(M)
+    return eta ** np.abs(n[:, None] - n[None, :])
 
 
 def path_gain(dist: float, alpha: float, ref_loss_db: float = -30.0, ref_dist: float = 1.0) -> float:

@@ -80,13 +80,15 @@ def test_irs_correlation_rejects_bad_sizes():
 
 
 def test_bs_correlation_values():
-    npt.assert_allclose(bs_correlation(0.0, 3), np.eye(3), atol=1e-15)
+    npt.assert_array_equal(bs_correlation(0.0, 3), np.eye(3))
+    npt.assert_array_equal(bs_correlation(0.7, 1), [[1.0]])
     npt.assert_allclose(bs_correlation(0.3, 2), [[1.0, 0.3], [0.3, 1.0]], atol=1e-15)
-    r = bs_correlation(0.6, 4)
-    for i in range(4):
-        for j in range(4):
-            assert r[i, j] == pytest.approx(0.6 ** abs(i - j), abs=1e-15)
-    assert np.linalg.eigvalsh(r).min() >= -1e-12
+    for m in (1, 2, 4, 8, 16):
+        for eta in (0.0, 0.3, 0.6, 0.7, 0.95):
+            loop = [[eta ** abs(i - j) for j in range(m)] for i in range(m)]
+            # numpy's vectorized pow may round one ulp away from the scalar one
+            npt.assert_allclose(bs_correlation(eta, m), loop, rtol=1e-15, atol=0.0)
+    assert np.linalg.eigvalsh(bs_correlation(0.6, 4)).min() >= -1e-12
 
 
 def test_bs_correlation_rejects_eta_out_of_range():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -13,8 +15,13 @@ from irskey import (
     SweepSpec,
     SystemConfig,
     TrainConfig,
+    baseline_design,
     channel_statistics,
+    effective_variance,
+    equal_phase_vector,
     load_experiment_config,
+    load_system_config,
+    per_mode_objective,
     random_design,
     read_csv,
     run_sweep,
@@ -346,6 +353,45 @@ def test_cli_baseline_artifacts(tmp_path):
     payload = json.loads((out / "baseline.json").read_text())
     assert len(payload["mode_powers"]) == 2
     assert payload["objective_bits"] > 0 and payload["water_level"] > 0
+
+
+@pytest.mark.parametrize("power_a_dbm, power_b_dbm", [(20, 70), (70, 30), (-10, -10)])
+def test_cli_baseline_at_extreme_powers(tmp_path, power_a_dbm, power_b_dbm):
+    # M=4, L=25: at the two high-SNR points the three-term marginal utility
+    # cancels, and at -10 dBm no mode reaches the decreasing marginal branch
+    cfg = tmp_path / "extreme.ini"
+    cfg.write_text(f"[system]\npower_a_dbm = {power_a_dbm}\npower_b_dbm = {power_b_dbm}\n")
+    out = tmp_path / "out"
+    assert cli.main(["baseline", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "baseline.json").read_text())
+    system = load_system_config(str(cfg))
+    validate_design(baseline_design(system), system.power_a)
+    stats = channel_statistics(system)
+    p_modes = np.sort(np.linalg.eigvalsh(stats.R_bs))[::-1]
+    var = effective_variance(equal_phase_vector(system.L), stats)
+    uniform = sum(
+        per_mode_objective(p, var, system.power_a, system.power_b, system.noise) for p in p_modes
+    )
+    assert payload["objective_bits"] >= uniform - 1e-12
+
+
+def test_cli_power_sweep_baseline_at_low_power(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nvariable = power\nvalues = -10, 0\nmethods = baseline\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(r[0], float(r[1]), r[2]) for r in rows] == [("power", -10.0, "baseline"), ("power", 0.0, "baseline")]
+    assert float(rows[0][3]) > 0.0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, irskey.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_train_and_infer_roundtrip(tmp_path):

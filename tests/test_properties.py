@@ -1,4 +1,5 @@
-"""Property tests of the batched closed-form kernel and the factored signal covariance.
+"""Property tests of the batched closed-form kernel, the factored signal
+covariance and the water-filling allocation.
 
 Ranges: M <= 8, L <= 36, antenna correlation in [0, 0.99), both powers in
 -10...70 dBm, and precoders of every rank from 0 (all zero) to M, some with
@@ -11,7 +12,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irskey import ProbeDesign, SystemConfig, cascade_covariance, channel_statistics, dbm_to_mw
+from irskey import (
+    NumericalError,
+    ProbeDesign,
+    SystemConfig,
+    cascade_covariance,
+    channel_statistics,
+    dbm_to_mw,
+    effective_variance,
+    equal_phase_vector,
+    per_mode_objective,
+    waterfill,
+)
 from irskey.skr import _RANK_RTOL, closed_form_bits, combined_covariance
 
 
@@ -118,3 +130,41 @@ def test_factored_covariance_equals_dense_cascade_sandwich(scenario):
         dense = sel.T @ dense_cov @ sel.conj()
         factored = combined_covariance(design, stats)
         assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _marginal_bits(q, var, power_a, power_b, noise):
+    """Derivative of the per-mode utility in bits, coded apart from the solver's form."""
+    a = power_b * var / noise
+    b = power_a * var / noise
+    c = a + b
+    return (a / (a * q + 1) + b / (b * q + 1) - c / (c * q + 1)) / math.log(2.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 8),
+    side=st.integers(1, 6),
+    eta=st.floats(0.0, 0.99, exclude_max=True),
+    power_a_dbm=st.floats(-10.0, 70.0),
+    power_b_dbm=st.floats(-10.0, 70.0),
+)
+def test_waterfill_budget_kkt_and_optimality(m, side, eta, power_a_dbm, power_b_dbm):
+    cfg = SystemConfig(
+        M=m, L_h=side, L_v=side, eta=eta,
+        power_a=dbm_to_mw(power_a_dbm), power_b=dbm_to_mw(power_b_dbm),
+    )
+    stats = channel_statistics(cfg)
+    args = (effective_variance(equal_phase_vector(cfg.L), stats), cfg.power_a, cfg.power_b, cfg.noise)
+    try:
+        res = waterfill(stats, *args)
+    except NumericalError:
+        return  # the documented failure; any other exception fails the property
+    p_modes = np.sort(np.linalg.eigvalsh(stats.R_bs))[::-1]
+    assert abs(float(np.sum(res.mode_powers / p_modes)) - m) < 1e-9
+    for q, p in zip(res.mode_powers, p_modes):
+        if q > 0:
+            assert abs(_marginal_bits(q, *args) - res.water_level / p) < 1e-6
+    uniform = sum(per_mode_objective(p, *args) for p in p_modes)
+    assert res.objective_bits >= uniform - 1e-12
+    for p in p_modes:
+        assert res.objective_bits >= per_mode_objective(m * p, *args) - 1e-12
