@@ -11,8 +11,12 @@ normalizations (no autodiff framework involved).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -435,6 +439,52 @@ def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
     return np.column_stack([x, y, np.zeros(n)])
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None (Linux only)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except (OSError, IndexError):
+        return None
+    for lib in libs:  # numpy wheels prefix and suffix the symbol names
+        for stem, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get, put = f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}"
+            if hasattr(lib, get) and hasattr(lib, put):
+                return getattr(lib, get), getattr(lib, put)
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_users = 0  # trainings running now
+_blas_saved = None  # the thread count before the first of them
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the count.
+
+    A training step's products (batch x 200 x 200) just pass OpenBLAS's
+    threading threshold, and splitting them over cores only adds waiting.
+    """
+    global _blas_users, _blas_saved
+    get, put = _openblas_threads() or (lambda: None, lambda n: None)
+    with _BLAS_LOCK:  # sweeps train on pool threads: the last one out restores
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)
+
+
+@_single_blas_thread()
 def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     """Run the full Adam loop; returns (params, per-epoch mean loss history).
 
@@ -442,7 +492,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     (x block then y block) unless ``fresh_samples`` is off, in which case one
     fixed set is reshuffled. ``progress(epoch, mean_loss_bits, wall_seconds)``
     is invoked after each epoch when given. Aborts with an error after 5
-    consecutive non-finite batch losses.
+    consecutive non-finite batch losses. BLAS runs on one thread meanwhile.
     """
     rng = np.random.default_rng(train_config.seed)
     params = init_params(system.M, system.L, rng)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -290,6 +292,38 @@ def test_train_divergence_abort(monkeypatch):
     cfg = TrainConfig(epochs=2, samples_per_epoch=100, batch_size=10, seed=0)
     with pytest.raises(NumericalError):
         train(cfg, system)
+
+
+def test_train_runs_blas_on_one_thread_and_restores_it():
+    threads = neural._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS reachable in this process")
+    get, _ = threads
+    before = get()
+    system = _small_system()
+    # batch 100 at width 200: products large enough for OpenBLAS to split
+    cfg = TrainConfig(epochs=2, samples_per_epoch=200, batch_size=100, seed=3)
+    seen = []
+    params, history = train(cfg, system, progress=lambda e, l, w: seen.append(get()))
+    assert seen == [1, 1]
+    assert get() == before
+    default_params, default_history = train.__wrapped__(cfg, system)
+    assert history == default_history
+    npt.assert_array_equal(params_to_vector(params), params_to_vector(default_params))
+
+    # overlapping trainings (as on the sweep pool): the last one out restores
+    barrier = threading.Barrier(2)
+    first = dataclasses.replace(cfg, epochs=1)
+    second = dataclasses.replace(cfg, epochs=3)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        jobs = [
+            pool.submit(train, c, system, progress=lambda e, l, w: (e == 0 and barrier.wait(), seen.append(get())))
+            for c in (first, second)
+        ]
+        for job in jobs:
+            job.result()
+    assert seen == [1] * 6
+    assert get() == before
 
 
 def test_train_config_validation():
