@@ -28,6 +28,7 @@ from .channel import (
     channel_statistics,
     dbm_to_mw,
     irs_correlation,
+    link_gains,
     load_system_config,
     mw_to_dbm,
     path_gain,
@@ -51,7 +52,6 @@ from .neural import (
     TrainConfig,
     forward,
     gradient,
-    infer,
     init_params,
     load_checkpoint,
     loss,
@@ -108,9 +108,9 @@ __all__ = [
     "equal_phase_vector",
     "forward",
     "gradient",
-    "infer",
     "init_params",
     "irs_correlation",
+    "link_gains",
     "load_checkpoint",
     "load_experiment_config",
     "load_system_config",

@@ -141,7 +141,7 @@ def _active_set_powers(p_modes: list[float], m: int, a: float, b: float, q_peak:
     lo, hi = q_peak, m * p_k
     if gap_and_powers(lo)[0] > 0.0:
         return None
-    beta = ((a + b) ** 2 - a * b) / (a * b * (a + b))  # 1/marginal(q) ~ q + beta for large q
+    beta = 1.0 / a + 1.0 / b - 1.0 / (a + b)  # 1/marginal(q) ~ q + beta for large q
     tau = p_k * (m + beta * sum(1.0 / p for p in p_modes)) / len(p_modes) - beta
     for _ in range(_MAX_ITER):
         if not lo < tau < hi:

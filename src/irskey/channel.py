@@ -24,6 +24,7 @@ __all__ = [
     "irs_correlation",
     "bs_correlation",
     "path_gain",
+    "link_gains",
     "psd_sqrt",
     "cascade_covariance",
     "channel_statistics",
@@ -123,15 +124,37 @@ def bs_correlation(eta: float, M: int) -> np.ndarray:
     return eta ** np.abs(n[:, None] - n[None, :])
 
 
-def path_gain(dist: float, alpha: float, ref_loss_db: float = -30.0, ref_dist: float = 1.0) -> float:
-    """Linear power gain of a link of length ``dist`` with exponent ``alpha``.
+def path_gain(dist, alpha: float, ref_loss_db: float = -30.0, ref_dist: float = 1.0):
+    """Linear power gain of links of length ``dist`` (scalar or array) with exponent ``alpha``.
 
     The gain at the reference distance is ``ref_loss_db`` and decays as
-    ``-10 * alpha * log10(dist / ref_dist)`` dB beyond it.
+    ``-10 * alpha * log10(dist / ref_dist)`` dB beyond it. Any distance below
+    ``ref_dist``, or NaN, is a ConfigError.
     """
-    if dist < ref_dist:
-        raise ConfigError(f"link distance {dist} below reference distance {ref_dist}")
-    return 10.0 ** ((ref_loss_db - 10.0 * alpha * math.log10(dist / ref_dist)) / 10.0)
+    dist = np.asarray(dist, dtype=float)
+    if not np.all(dist >= ref_dist):
+        raise ConfigError(f"link distance {dist.min()} below reference distance {ref_dist}")
+    return 10.0 ** ((ref_loss_db - 10.0 * alpha * np.log10(dist / ref_dist)) / 10.0)
+
+
+def link_gains(config: SystemConfig, ue_positions):
+    """Path gains (beta_direct, beta_bs_irs, beta_irs_ue) of UE positions ``[..., 3]``.
+
+    The two UE-side gains keep the leading shape of ``ue_positions``; the
+    BS-surface gain is one scalar. This is the only place where geometry
+    becomes link gains.
+    """
+    ue = np.asarray(ue_positions, dtype=float)
+    if ue.shape[-1:] != (3,):
+        raise ConfigError(f"UE positions must be [..., 3], got shape {ue.shape}")
+    bs = np.asarray(config.pos_bs, dtype=float)
+    irs = np.asarray(config.pos_irs, dtype=float)
+    ref = (config.ref_loss_db, config.ref_dist)
+    return (
+        path_gain(np.linalg.norm(ue - bs, axis=-1), config.alpha_direct, *ref),
+        path_gain(np.linalg.norm(irs - bs), config.alpha_bs_irs, *ref),
+        path_gain(np.linalg.norm(ue - irs, axis=-1), config.alpha_irs_ue, *ref),
+    )
 
 
 def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -212,18 +235,13 @@ def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] 
     ``pos_ue`` overrides the configured UE position; correlation matrices only
     depend on array geometry, so they are identical across UE positions.
     """
-    bs = np.asarray(config.pos_bs, dtype=float)
-    irs = np.asarray(config.pos_irs, dtype=float)
-    ue = np.asarray(config.pos_ue if pos_ue is None else pos_ue, dtype=float)
-    d_direct = float(np.linalg.norm(bs - ue))
-    d_bs_irs = float(np.linalg.norm(bs - irs))
-    d_irs_ue = float(np.linalg.norm(irs - ue))
+    beta_direct, beta_bs_irs, beta_irs_ue = link_gains(config, config.pos_ue if pos_ue is None else pos_ue)
     return ChannelStatistics(
         R_bs=bs_correlation(config.eta, config.M),
         R_irs=irs_correlation(config.L_h, config.L_v, config.spacing_wl),
-        beta_direct=path_gain(d_direct, config.alpha_direct, config.ref_loss_db, config.ref_dist),
-        beta_bs_irs=path_gain(d_bs_irs, config.alpha_bs_irs, config.ref_loss_db, config.ref_dist),
-        beta_irs_ue=path_gain(d_irs_ue, config.alpha_irs_ue, config.ref_loss_db, config.ref_dist),
+        beta_direct=float(beta_direct),
+        beta_bs_irs=float(beta_bs_irs),
+        beta_irs_ue=float(beta_irs_ue),
     )
 
 
@@ -279,9 +297,6 @@ def sample_batch(stats: ChannelStatistics, n: int, rng: np.random.Generator) -> 
     return h, G, f
 
 
-_POSITION_KEYS = {"pos_bs": "pos_bs_m", "pos_irs": "pos_irs_m", "pos_ue": "pos_ue_m"}
-
-
 def _parse_position(raw: str, key: str) -> tuple[float, float, float]:
     parts = [p for p in raw.replace(",", " ").split() if p]
     if len(parts) != 3:
@@ -293,6 +308,51 @@ def _parse_position(raw: str, key: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
+def _read_ini(path: str) -> configparser.ConfigParser:
+    """Parse an INI file; OSError passes through, anything unparsable is a ConfigError."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    return parser
+
+
+_SYSTEM_KEYS = {
+    "m": ("M", int),
+    "l_h": ("L_h", int),
+    "l_v": ("L_v", int),
+    "spacing_wl": ("spacing_wl", float),
+    "eta": ("eta", float),
+    "pos_bs_m": ("pos_bs", lambda s: _parse_position(s, "pos_bs_m")),
+    "pos_irs_m": ("pos_irs", lambda s: _parse_position(s, "pos_irs_m")),
+    "pos_ue_m": ("pos_ue", lambda s: _parse_position(s, "pos_ue_m")),
+    "power_a_dbm": ("power_a", lambda s: dbm_to_mw(float(s))),
+    "power_b_dbm": ("power_b", lambda s: dbm_to_mw(float(s))),
+    "noise_dbm": ("noise", lambda s: dbm_to_mw(float(s))),
+    "ref_loss_db": ("ref_loss_db", float),
+    "ref_dist_m": ("ref_dist", float),
+    "alpha_direct": ("alpha_direct", float),
+    "alpha_bs_irs": ("alpha_bs_irs", float),
+    "alpha_irs_ue": ("alpha_irs_ue", float),
+}
+
+
+def _parse_system_section(section) -> SystemConfig:
+    kwargs: dict = {}
+    for key, (dest, caster) in _SYSTEM_KEYS.items():
+        if key in section:
+            try:
+                kwargs[dest] = caster(section[key])
+            except (ValueError, OverflowError) as exc:  # 10**(dBm/10) overflows past ~3080 dBm
+                raise ConfigError(f"bad value for system.{key}: {section[key]!r}") from exc
+    unknown = set(section) - set(_SYSTEM_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown keys in [system]: {sorted(unknown)}")
+    return SystemConfig(**kwargs)
+
+
 def load_system_config(path: str) -> SystemConfig:
     """Read a ``[system]`` section from an INI file into a SystemConfig.
 
@@ -300,50 +360,5 @@ def load_system_config(path: str) -> SystemConfig:
     ``noise_dbm``) and converted to linear mW. Missing keys fall back to the
     dataclass defaults.
     """
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError:
-        raise
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if not parser.has_section("system"):
-        return SystemConfig()
-    section = parser["system"]
-    kwargs: dict = {}
-
-    def grab(key: str, caster, dest: str | None = None) -> None:
-        if key in section:
-            raw = section[key]
-            try:
-                kwargs[dest or key] = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for system.{key}: {raw!r}") from exc
-
-    grab("m", int, "M")
-    grab("l_h", int, "L_h")
-    grab("l_v", int, "L_v")
-    grab("spacing_wl", float)
-    grab("eta", float)
-    for dest, key in _POSITION_KEYS.items():
-        if key in section:
-            kwargs[dest] = _parse_position(section[key], key)
-    grab("power_a_dbm", lambda s: dbm_to_mw(float(s)), "power_a")
-    grab("power_b_dbm", lambda s: dbm_to_mw(float(s)), "power_b")
-    grab("noise_dbm", lambda s: dbm_to_mw(float(s)), "noise")
-    grab("ref_loss_db", float)
-    grab("ref_dist_m", float, "ref_dist")
-    grab("alpha_direct", float)
-    grab("alpha_bs_irs", float)
-    grab("alpha_irs_ue", float)
-    unknown = set(section) - {
-        "m", "l_h", "l_v", "spacing_wl", "eta",
-        "pos_bs_m", "pos_irs_m", "pos_ue_m",
-        "power_a_dbm", "power_b_dbm", "noise_dbm",
-        "ref_loss_db", "ref_dist_m",
-        "alpha_direct", "alpha_bs_irs", "alpha_irs_ue",
-    }
-    if unknown:
-        raise ConfigError(f"unknown keys in [system]: {sorted(unknown)}")
-    return SystemConfig(**kwargs)
+    parser = _read_ini(path)
+    return _parse_system_section(parser["system"]) if parser.has_section("system") else SystemConfig()

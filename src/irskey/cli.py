@@ -101,7 +101,7 @@ def _cmd_skr(args) -> int:
                 f"checkpoint sized for M={params.M}, L={params.L}; "
                 f"system has M={system.M}, L={system.L}"
             )
-        design = neural.infer(params, system.pos_ue, system)
+        design = neural.forward(params, system.pos_ue, system)
         bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
     out_dir = _ensure_out(args)
     payload = {

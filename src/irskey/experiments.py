@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import configparser
 import csv
 import dataclasses
 import math
@@ -17,9 +16,10 @@ from .baseline import baseline_design
 from .channel import (
     ChannelStatistics,
     SystemConfig,
+    _parse_system_section,
+    _read_ini,
     channel_statistics,
     dbm_to_mw,
-    load_system_config,
 )
 from .errors import ConfigError
 from .probing import ProbeDesign
@@ -165,7 +165,7 @@ def _pkg_net_bits(
     else:
         seeded = dataclasses.replace(train_config, seed=_derived_seed(train_config.seed, point_index))
         params, _ = neural.train(seeded, cfg)
-    design = neural.infer(params, cfg.pos_ue, cfg)
+    design = neural.forward(params, cfg.pos_ue, cfg)
     return skr_closed_form(design, stats, cfg.power_b, cfg.noise).bits
 
 
@@ -408,19 +408,11 @@ def load_experiment_config(path: str):
 
     Returns (SystemConfig, TrainConfig, SweepSpec or None).
     """
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError:
-        raise
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    known = {"system", "train", "sweep"}
-    extra = set(parser.sections()) - known
+    parser = _read_ini(path)
+    extra = set(parser.sections()) - {"system", "train", "sweep"}
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
-    system = load_system_config(path)
+    system = _parse_system_section(parser["system"]) if parser.has_section("system") else SystemConfig()
     train_cfg = (
         _parse_train_section(parser["train"]) if parser.has_section("train") else neural.TrainConfig()
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelStatistics, SystemConfig, bs_correlation, irs_correlation, path_gain
+from .channel import ChannelStatistics, SystemConfig, channel_statistics, link_gains
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign
 
@@ -31,9 +31,7 @@ __all__ = [
     "TrainConfig",
     "PARAM_FIELDS",
     "init_params",
-    "make_stats_provider",
     "forward",
-    "infer",
     "normalize_precoder",
     "normalize_phases",
     "loss",
@@ -137,47 +135,6 @@ def init_params(M: int, L: int, rng: np.random.Generator, hidden: int = HIDDEN) 
     )
 
 
-def make_stats_provider(system: SystemConfig):
-    """Location -> ChannelStatistics closure sharing the geometry-fixed parts.
-
-    Correlation matrices and the BS-surface gain do not depend on the UE
-    position, so they are computed once and shared; the two UE-side link
-    gains are recomputed per location.
-    """
-    r_bs = bs_correlation(system.eta, system.M)
-    r_irs = irs_correlation(system.L_h, system.L_v, system.spacing_wl)
-    pos_bs = np.asarray(system.pos_bs, dtype=float)
-    pos_irs = np.asarray(system.pos_irs, dtype=float)
-    beta_bs_irs = path_gain(
-        float(np.linalg.norm(pos_bs - pos_irs)),
-        system.alpha_bs_irs,
-        system.ref_loss_db,
-        system.ref_dist,
-    )
-
-    def provider(location) -> ChannelStatistics:
-        ue = np.asarray(location, dtype=float)
-        return ChannelStatistics(
-            R_bs=r_bs,
-            R_irs=r_irs,
-            beta_direct=path_gain(
-                float(np.linalg.norm(pos_bs - ue)),
-                system.alpha_direct,
-                system.ref_loss_db,
-                system.ref_dist,
-            ),
-            beta_bs_irs=beta_bs_irs,
-            beta_irs_ue=path_gain(
-                float(np.linalg.norm(pos_irs - ue)),
-                system.alpha_irs_ue,
-                system.ref_loss_db,
-                system.ref_dist,
-            ),
-        )
-
-    return provider
-
-
 # ---------------------------------------------------------------------------
 # normalization layers
 
@@ -256,28 +213,6 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
     return ProbeDesign(precoder=precoder[0], phases=phases[0])
 
 
-def infer(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign:
-    """Deployment-time alias of forward (no gradient bookkeeping exists anyway)."""
-    return forward(params, ue_location, config)
-
-
-def _collect_statistics(provider, locations: np.ndarray):
-    stats = [provider(loc) for loc in locations]
-    first = stats[0]
-    k = len(stats)
-    if all(s.R_bs is first.R_bs for s in stats):
-        r_bs = np.broadcast_to(first.R_bs, (k,) + first.R_bs.shape)
-    else:
-        r_bs = np.stack([s.R_bs for s in stats])
-    if all(s.R_irs is first.R_irs for s in stats):
-        r_sq = np.broadcast_to(first.R_irs * first.R_irs, (k,) + first.R_irs.shape)
-    else:
-        r_sq = np.stack([s.R_irs * s.R_irs for s in stats])
-    beta_direct = np.array([s.beta_direct for s in stats])
-    gamma = np.array([s.beta_bs_irs * s.beta_irs_ue for s in stats])
-    return r_bs, r_sq, beta_direct, gamma
-
-
 def _hermitize(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
 
@@ -286,15 +221,22 @@ def _zero_grads(params: NetParams) -> NetParams:
     return NetParams(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
 
 
-def _loss_and_grad(params: NetParams, locations: np.ndarray, system: SystemConfig, provider, want_grad: bool):
+def _loss_and_grad(
+    params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool
+):
+    # correlations come from ``stats``, link gains from each location
     k = locations.shape[0]
     m = system.M
     precoder, phases, cache = _forward_core(params, locations, system.power_a)
-    r_bs, r_sq, beta_direct, gamma = _collect_statistics(provider, locations)
+    beta_direct, beta_bs_irs, beta_irs_ue = link_gains(system, locations)
+    gamma = beta_bs_irs * beta_irs_ue
+    r_bs = stats.R_bs
+    r_sq = stats.R_irs * stats.R_irs
 
-    quad = np.einsum("kl,klm,km->k", phases.conj(), r_sq, phases).real
+    r_sq_theta = phases @ r_sq  # R_irs o R_irs is real symmetric
+    quad = np.sum(phases.conj() * r_sq_theta, axis=1).real
     var = beta_direct + gamma * quad  # per-sample effective variance
-    sandwich = np.einsum("kij,kil,klm->kjm", precoder, r_bs, precoder.conj())
+    sandwich = np.swapaxes(precoder, 1, 2) @ (r_bs @ precoder.conj())
     gram = np.einsum("kij,kim->kjm", precoder, precoder.conj())
     r_z = var[:, None, None] * sandwich
 
@@ -337,7 +279,7 @@ def _loss_and_grad(params: NetParams, locations: np.ndarray, system: SystemConfi
     d_p = var[:, None, None] * (r_bs @ precoder.conj() @ k_z) + precoder.conj() @ k_n
     g_p = scale * d_p.conj()
     trace_kz_w = np.einsum("kij,kji->k", k_z, sandwich).real
-    g_theta = (scale * gamma * trace_kz_w)[:, None] * np.einsum("klm,km->kl", r_sq, phases)
+    g_theta = (scale * gamma * trace_kz_w)[:, None] * r_sq_theta
 
     # back through the phase normalization (radial components drop out)
     u, v, radius, live = cache[6]
@@ -383,26 +325,21 @@ def _as_location_array(batch_locations) -> np.ndarray:
     return locs
 
 
-def loss(params: NetParams, batch_locations, config: SystemConfig, stats_provider=None) -> float:
-    """Negative batch-mean SKR in bits (exact closed form, per-sample statistics)."""
+def loss(params: NetParams, batch_locations, config: SystemConfig) -> float:
+    """Negative batch-mean SKR in bits (exact closed form, per-sample link gains)."""
     locs = _as_location_array(batch_locations)
-    provider = make_stats_provider(config) if stats_provider is None else stats_provider
-    value, _ = _loss_and_grad(params, locs, config, provider, want_grad=False)
+    value, _ = _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=False)
     return value
 
 
-def gradient(params: NetParams, batch_locations, config: SystemConfig, stats_provider=None) -> NetParams:
+def gradient(params: NetParams, batch_locations, config: SystemConfig) -> NetParams:
     """Exact reverse-mode gradient of ``loss`` with respect to every parameter."""
-    locs = _as_location_array(batch_locations)
-    provider = make_stats_provider(config) if stats_provider is None else stats_provider
-    _, grads = _loss_and_grad(params, locs, config, provider, want_grad=True)
-    return grads
+    return loss_and_gradient(params, batch_locations, config)[1]
 
 
-def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig, stats_provider=None):
+def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):
     locs = _as_location_array(batch_locations)
-    provider = make_stats_provider(config) if stats_provider is None else stats_provider
-    return _loss_and_grad(params, locs, config, provider, want_grad=True)
+    return _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +374,23 @@ def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
     x = rng.uniform(x_lo, x_hi, n)
     y = rng.uniform(y_lo, y_hi, n)
     return np.column_stack([x, y, np.zeros(n)])
+
+
+def _check_region(system: SystemConfig, region) -> None:
+    """ConfigError unless every UE location of ``region`` is a valid link end.
+
+    Gains fall with distance, so the region's points nearest the BS and the
+    surface (each x, y clipped to the rectangle, z = 0) decide.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = region
+    anchors = np.array([system.pos_bs, system.pos_irs], dtype=float)
+    nearest = np.column_stack(
+        [np.clip(anchors[:, 0], x_lo, x_hi), np.clip(anchors[:, 1], y_lo, y_hi), np.zeros(2)]
+    )
+    try:
+        link_gains(system, nearest)
+    except ConfigError as exc:
+        raise ConfigError(f"ue_region {region} comes too close to the BS or the surface: {exc}") from exc
 
 
 @functools.cache
@@ -492,11 +446,15 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     (x block then y block) unless ``fresh_samples`` is off, in which case one
     fixed set is reshuffled. ``progress(epoch, mean_loss_bits, wall_seconds)``
     is invoked after each epoch when given. Aborts with an error after 5
-    consecutive non-finite batch losses. BLAS runs on one thread meanwhile.
+    consecutive non-finite batch losses; a non-finite step leaves the weights
+    and the Adam state as they were. A ``ue_region`` reaching within the
+    reference distance of the BS or the surface is rejected before the first
+    step. BLAS runs on one thread meanwhile.
     """
+    _check_region(system, train_config.ue_region)
+    stats = channel_statistics(system)
     rng = np.random.default_rng(train_config.seed)
     params = init_params(system.M, system.L, rng)
-    provider = make_stats_provider(system)
     state = _AdamState()
     fixed_set = None
     if not train_config.fresh_samples:
@@ -512,16 +470,16 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
         batch_losses = []
         for start in range(0, len(locations), train_config.batch_size):
             batch = locations[start : start + train_config.batch_size]
-            value, grads = _loss_and_grad(params, batch, system, provider, want_grad=True)
+            value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True)
             if math.isfinite(value):
                 bad_streak = 0
+                _adam_step(params, grads, state, train_config)
             else:
                 bad_streak += 1
                 if bad_streak >= 5:
                     raise NumericalError(
                         "training diverged: loss non-finite for 5 consecutive steps"
                     )
-            _adam_step(params, grads, state, train_config)
             batch_losses.append(value)
         mean_loss = float(np.mean(batch_losses))
         history.append(mean_loss)

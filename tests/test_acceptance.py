@@ -38,7 +38,6 @@ from irskey import cli, neural
 from irskey.baseline import per_mode_objective
 from irskey.neural import (
     forward,
-    infer,
     init_params,
     loss,
     loss_and_gradient,
@@ -248,7 +247,7 @@ def test_criterion_08_method_ordering_at_reference_setup():
         if seed == 0:
             train_seconds = elapsed
         assert history[-1] <= history[0], "training did not reduce the loss"
-        design = infer(params, system.pos_ue, system)
+        design = forward(params, system.pos_ue, system)
         net_bits.append(skr_closed_form(design, stats, system.power_b, system.noise).bits)
 
     base_bits = skr_closed_form(

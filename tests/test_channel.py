@@ -12,6 +12,7 @@ from irskey import (
     channel_statistics,
     dbm_to_mw,
     irs_correlation,
+    link_gains,
     load_system_config,
     mw_to_dbm,
     path_gain,
@@ -117,6 +118,47 @@ def test_path_gain_monotone_decreasing():
 def test_path_gain_rejects_nonpositive_distance():
     with pytest.raises(ConfigError):
         path_gain(0.0, 2.0)
+
+
+def test_path_gain_accepts_arrays_and_rejects_any_short_link():
+    dist = np.array([[1.0, 10.0], [100.0, 1e4]])
+    gains = path_gain(dist, 2.0)
+    assert gains.shape == (2, 2)
+    npt.assert_allclose(gains, 1e-3 / dist**2, rtol=1e-14)
+    for bad in (0.5, np.nan):
+        with pytest.raises(ConfigError):
+            path_gain(np.array([5.0, bad, 7.0]), 2.0)
+
+
+def test_link_gains_match_channel_statistics_per_position(rng):
+    cfg = SystemConfig(pos_ue=(3.0, -2.0, 1.5))
+    positions = np.stack(
+        [rng.uniform(-40.0, 40.0, (4, 6)), rng.uniform(-40.0, 40.0, (4, 6)), rng.uniform(-2.0, 2.0, (4, 6))],
+        axis=-1,
+    )
+    positions[0, 0] = (10.0, 10.0, 0.0)
+    beta_direct, beta_bs_irs, beta_irs_ue = link_gains(cfg, positions)
+    assert beta_direct.shape == beta_irs_ue.shape == (4, 6)
+    assert np.ndim(beta_bs_irs) == 0
+    for idx in np.ndindex(4, 6):
+        one = channel_statistics(cfg, pos_ue=tuple(positions[idx]))
+        assert beta_direct[idx] == pytest.approx(one.beta_direct, rel=1e-14, abs=0.0)
+        assert beta_bs_irs == pytest.approx(one.beta_bs_irs, rel=1e-14, abs=0.0)
+        assert beta_irs_ue[idx] == pytest.approx(one.beta_irs_ue, rel=1e-14, abs=0.0)
+    # the configured position is the default of channel_statistics
+    here = channel_statistics(cfg)
+    assert link_gains(cfg, cfg.pos_ue) == (here.beta_direct, here.beta_bs_irs, here.beta_irs_ue)
+
+
+def test_link_gains_reject_any_position_within_reference_distance():
+    cfg = SystemConfig()
+    far = [(10.0, 10.0, 0.0), (-20.0, 5.0, 0.0)]
+    link_gains(cfg, far)
+    for near in ((0.3, 0.4, 0.0), (5.0, -35.0, 0.5)):  # the surface, the BS
+        with pytest.raises(ConfigError):
+            link_gains(cfg, far + [near])
+    with pytest.raises(ConfigError):
+        link_gains(cfg, [1.0, 2.0])
 
 
 # --------------------------------------------------------------------------
@@ -312,6 +354,9 @@ def test_load_system_config_errors(tmp_path):
         load_system_config(str(bad))
     bad.write_text("[system]\npos_ue_m = 1, 2\n")
     with pytest.raises(ConfigError):
+        load_system_config(str(bad))
+    bad.write_text("[system]\npower_a_dbm = 4000\n")  # beyond float range in mW
+    with pytest.raises(ConfigError, match="power_a_dbm"):
         load_system_config(str(bad))
     with pytest.raises(OSError):
         load_system_config(str(tmp_path / "missing.ini"))

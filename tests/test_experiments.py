@@ -166,7 +166,7 @@ def test_run_sweep_uses_checkpoints_when_given(tmp_path):
     spec = SweepSpec("power", (10.0,), methods=("pkg_net",))
     result = run_sweep(spec, system, checkpoint_dir=str(tmp_path))
     stats_bits = result.rows[0].skr_bits
-    design = neural.infer(params, system.pos_ue, system)
+    design = neural.forward(params, system.pos_ue, system)
     from irskey import channel_statistics
     want = skr_closed_form(design, channel_statistics(system), system.power_b, system.noise).bits
     assert stats_bits == pytest.approx(want, rel=1e-12)
@@ -373,6 +373,25 @@ def test_cli_baseline_at_extreme_powers(tmp_path, power_a_dbm, power_b_dbm):
         per_mode_objective(p, var, system.power_a, system.power_b, system.noise) for p in p_modes
     )
     assert payload["objective_bits"] >= uniform - 1e-12
+
+
+@pytest.mark.parametrize("verb", ["baseline", "skr"])
+@pytest.mark.parametrize("power_a_dbm, power_b_dbm", [(2000, 10), (10, 2000)])
+def test_cli_absurd_power_is_a_numerical_failure(tmp_path, capsys, verb, power_a_dbm, power_b_dbm):
+    # products of the two SNRs overflow here; the failure must stay inside the exit-code contract
+    cfg = tmp_path / "absurd.ini"
+    cfg.write_text(f"[system]\npower_a_dbm = {power_a_dbm}\npower_b_dbm = {power_b_dbm}\n")
+    assert cli.main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_cli_train_rejects_region_at_the_surface(tmp_path, capsys):
+    cfg = tmp_path / "near.ini"
+    cfg.write_text("[train]\nue_region = 0.5, 30, 0.5, 30\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "ue_region" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "train_history.csv").exists()
 
 
 def test_cli_power_sweep_baseline_at_low_power(tmp_path):
