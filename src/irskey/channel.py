@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +49,7 @@ class SystemConfig:
     """Static description of one key-generation setup.
 
     Positions are metres, powers linear mW, ``spacing_wl`` is the surface
-    element spacing in wavelengths.
+    element spacing in wavelengths. Every value and coordinate must be finite.
     """
 
     M: int = 4
@@ -70,6 +70,10 @@ class SystemConfig:
     alpha_irs_ue: float = 2.0
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"{item.name} must be finite, got {value}")
         if self.M < 1:
             raise ConfigError(f"antenna count must be >= 1, got {self.M}")
         if self.L_h < 1 or self.L_v < 1:
@@ -257,9 +261,11 @@ class ChannelRealization:
 
 def _complex_normal(rng: np.random.Generator, size: int, var: float) -> np.ndarray:
     # Real block drawn before imaginary block; each has variance var/2.
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return np.sqrt(var / 2.0) * (re + 1j * im)
+    scale = np.sqrt(var / 2.0)
+    out = np.empty(size, dtype=complex)
+    np.multiply(rng.standard_normal(size), scale, out=out.real)
+    np.multiply(rng.standard_normal(size), scale, out=out.imag)
+    return out
 
 
 def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:

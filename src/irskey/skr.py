@@ -8,11 +8,14 @@ logdet(R_a) + logdet(R_b) - logdet(R_joint), in bits.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStatistics, _complex_normal, sample_batch
+from ._blas import single_blas_thread
+from .channel import ChannelStatistics, _complex_normal
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign, dft_pilot
 
@@ -250,6 +253,40 @@ def skr_approximate(
     return SkrReport(bits=float(bits), method="approximate")
 
 
+def _batch_second_moment(
+    design: ProbeDesign,
+    stats: ChannelStatistics,
+    power_b: float,
+    noise: float,
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Unnormalized 2M x 2M second moment of n simulated observation pairs [y_a, y_b].
+
+    Draws in ``sample_batch`` order (h, g, f), then the BS noise, then the UE
+    noise, but never forms G = R_bs^1/2 g R_irs^1/2: per round, in row form,
+    h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with
+    v = (phases o (f_iid R_irs^1/2^T)) R_irs^1/2^T, and g stays as its real
+    and imaginary blocks.
+    """
+    m, l = stats.M, stats.L
+    h_iid = _complex_normal(rng, n * m, stats.beta_direct).reshape(n, m)
+    g_re = rng.standard_normal((n, m, l))
+    g_im = rng.standard_normal((n, m, l))
+    f_iid = _complex_normal(rng, n * l, stats.beta_irs_ue).reshape(n, l)
+    noise_a = _complex_normal(rng, n * m, noise).reshape(n, m)
+    noise_b = _complex_normal(rng, n * m, noise).reshape(n, m)
+    r_irs = stats.R_irs_sqrt.T
+    v = np.sqrt(stats.beta_bs_irs / 2.0) * ((design.phases * (f_iid @ r_irs)) @ r_irs)
+    gv_re = np.einsum("nml,nl->nm", g_re, v.real) - np.einsum("nml,nl->nm", g_im, v.imag)
+    gv_im = np.einsum("nml,nl->nm", g_re, v.imag) + np.einsum("nml,nl->nm", g_im, v.real)
+    signal = ((h_iid + gv_re + 1j * gv_im) @ stats.R_bs_sqrt.T) @ design.precoder  # P^T c per round
+    y_a = np.sqrt(power_b) * signal + noise_a @ design.precoder
+    y_b = signal + noise_b @ dft_pilot(m)
+    z = np.concatenate([y_a, y_b], axis=1)
+    return z.T @ z.conj()
+
+
 def skr_monte_carlo(
     design: ProbeDesign,
     stats: ChannelStatistics,
@@ -261,38 +298,42 @@ def skr_monte_carlo(
 ) -> SkrReport:
     """Estimate the SKR by simulating probing rounds and plugging in sample covariances.
 
-    ``n_samples`` is split evenly over ``n_batches`` independent child streams
-    (remainder dropped); within each batch the draw order is channels, then
-    BS noise, then UE noise. The point estimate uses the pooled sample
+    ``n_samples`` must split evenly over ``n_batches`` independent child
+    streams, with at least 2M samples in each. Batches run on a thread pool
+    (at most one thread per CPU and per batch) with OpenBLAS on one thread,
+    and their moments are combined in batch order, so the result does not
+    depend on the pool size. The point estimate uses the pooled sample
     covariance; the standard error is the batch-means estimate, so it shrinks
-    like 1/sqrt(n_samples).
+    like 1/sqrt(n_samples). Only the covariance is simulated: the estimate is
+    the Gaussian formula at the sample covariance, which does not test whether
+    the observations are Gaussian.
     """
     if n_samples < 10_000:
         raise ConfigError(f"Monte Carlo needs at least 10000 samples, got {n_samples}")
     if n_batches < 2:
         raise ConfigError("Monte Carlo needs at least 2 batches")
-    per_batch = n_samples // n_batches
-    m = design.M
-    pilot_d = dft_pilot(m)
+    per_batch, remainder = divmod(n_samples, n_batches)
+    if remainder:
+        raise ConfigError(f"{n_samples} samples do not split evenly over {n_batches} batches")
+    if per_batch < 2 * design.M:
+        raise ConfigError(
+            f"{per_batch} samples per batch cannot estimate a {2 * design.M}-square covariance"
+        )
     streams = rng.spawn(n_batches)
-    pooled = np.zeros((2 * m, 2 * m), dtype=complex)
+    with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:
+        moments = list(
+            pool.map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
+        )
     batch_bits = np.empty(n_batches)
-    for b, stream in enumerate(streams):
-        h, big_g, f = sample_batch(stats, per_batch, stream)
-        noise_a = _complex_normal(stream, per_batch * m, noise).reshape(per_batch, m)
-        noise_b = _complex_normal(stream, per_batch * m, noise).reshape(per_batch, m)
-        combined = h + np.einsum("nml,nl->nm", big_g, design.phases * f)
-        y_a = np.sqrt(power_b) * (combined @ design.precoder) + noise_a @ design.precoder
-        y_b = combined @ design.precoder + noise_b @ pilot_d
-        z = np.concatenate([y_a, y_b], axis=1)
-        second_moment = z.T @ z.conj()
-        pooled += second_moment
+    for b, moment in enumerate(moments):
         try:
-            batch_bits[b] = _mi_bits_from_joint(second_moment / per_batch)
+            batch_bits[b] = _mi_bits_from_joint(moment / per_batch)
         except NumericalError as exc:
             raise NumericalError(
                 f"singular sample covariance in batch {b}; increase n_samples"
             ) from exc
-    bits = float(_mi_bits_from_joint(pooled / (per_batch * n_batches)))
+    bits = float(_mi_bits_from_joint(sum(moments) / n_samples))
     std_error = float(np.std(batch_bits, ddof=1) / np.sqrt(n_batches))
+    if not (math.isfinite(bits) and math.isfinite(std_error)):
+        raise NumericalError(f"Monte Carlo estimate {bits} bits (std error {std_error}) is not finite")
     return SkrReport(bits=bits, method="monte_carlo", std_error=std_error)

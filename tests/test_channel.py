@@ -19,7 +19,7 @@ from irskey import (
     sample_batch,
     sample_realization,
 )
-from irskey.channel import psd_sqrt
+from irskey.channel import _complex_normal, psd_sqrt
 
 
 # --------------------------------------------------------------------------
@@ -292,6 +292,18 @@ def test_sample_batch_matches_single_draw_statistics(small_stats):
     assert abs((np.abs(f) ** 2).mean() / small_stats.beta_irs_ue - 1.0) < 0.03
 
 
+def test_complex_normal_is_bit_identical_to_the_complex_expression():
+    # in-place assembly must leave every sample_batch / sample_realization stream as it was
+    for size, var in ((1, 1.0), (7, 2.5e-9), (1000, 3.7e4)):
+        got = _complex_normal(np.random.default_rng(11), size, var)
+        rng = np.random.default_rng(11)
+        re = rng.standard_normal(size)
+        im = rng.standard_normal(size)
+        want = np.sqrt(var / 2.0) * (re + 1j * im)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_sampling_is_seed_deterministic(small_stats):
     a = sample_realization(small_stats, np.random.default_rng(5))
     b = sample_realization(small_stats, np.random.default_rng(5))
@@ -313,6 +325,9 @@ def test_system_config_validation():
         SystemConfig(power_a=-1.0)
     with pytest.raises(ConfigError):
         SystemConfig(L_h=0)
+    for bad in ({"noise": math.nan}, {"spacing_wl": math.inf}, {"pos_ue": (10.0, math.nan, 0.0)}):
+        with pytest.raises(ConfigError, match="finite"):
+            SystemConfig(**bad)
     cfg = SystemConfig(M=3, L_h=2, L_v=5)
     assert cfg.L == 10
 

@@ -458,6 +458,44 @@ def test_cli_mc_check_consistency(tmp_path):
     assert payload["abs_gap"] <= 2 * payload["std_error"]
 
 
+@pytest.mark.parametrize("samples, batches", [(20_000, 30_000), (20_005, 10), (20_000, 10_000)])
+def test_cli_mc_check_rejects_uneven_or_undersized_batches(tmp_path, capsys, samples, batches):
+    # 30000 batches left 0 samples each (NaN in the report), 20005 dropped 5
+    # samples silently, and 2 samples per batch cannot estimate the 4x4 covariance
+    cfg = _write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["mc-check", "--config", cfg, "--samples", str(samples), "--batches", str(batches), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "mc_check.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("spacing_wl", "inf"),
+        ("eta", "nan"),
+        ("power_a_dbm", "inf"),
+        ("power_b_dbm", "nan"),
+        ("noise_dbm", "nan"),
+        ("ref_loss_db", "nan"),
+        ("ref_dist_m", "inf"),
+        ("alpha_direct", "nan"),
+        ("alpha_bs_irs", "-inf"),
+        ("alpha_irs_ue", "nan"),
+        ("pos_bs_m", "5 nan 0"),
+        ("pos_irs_m", "0 0 inf"),
+        ("pos_ue_m", "inf 10 0"),
+    ],
+)
+def test_cli_rejects_non_finite_system_values(tmp_path, capsys, key, value):
+    # NaN passed the "<= 0" checks and ran into water-filling (exit 2)
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(f"[system]\n{key} = {value}\n")
+    assert cli.main(["baseline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch):
     # 1: configuration problems of any kind
     assert cli.main(["skr", "--config", str(tmp_path / "nope.ini")]) == 3

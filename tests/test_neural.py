@@ -26,7 +26,7 @@ from irskey import (
     train,
     validate_design,
 )
-from irskey import neural
+from irskey import _blas, neural
 from irskey.neural import (
     PARAM_FIELDS,
     normalize_phases,
@@ -313,7 +313,7 @@ def test_train_rejects_region_near_the_surface_before_any_step(monkeypatch):
 
 
 def test_train_runs_blas_on_one_thread_and_restores_it():
-    threads = neural._openblas_threads()
+    threads = _blas.openblas_threads()
     if threads is None:
         pytest.skip("no OpenBLAS reachable in this process")
     get, _ = threads

@@ -1,4 +1,7 @@
+import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +22,8 @@ from irskey import (
     skr_closed_form,
     skr_monte_carlo,
 )
-from irskey import skr
+from irskey import _blas, probe_pair, skr
+from irskey.channel import ChannelRealization, _complex_normal
 
 _LN2 = math.log(2.0)
 
@@ -293,3 +297,87 @@ def test_monte_carlo_seed_determinism(small_stats, rng):
     a = skr_monte_carlo(des, small_stats, 10.0, 1e-9, 20_000, np.random.default_rng(42))
     b = skr_monte_carlo(des, small_stats, 10.0, 1e-9, 20_000, np.random.default_rng(42))
     assert a.bits == b.bits and a.std_error == b.std_error
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_monte_carlo_rejects_non_finite_estimates(small_stats, rng):
+    des = _random_design(2, 4, rng)
+    for power_b, noise in ((10.0, math.nan), (math.nan, 1e-9), (10.0, math.inf)):
+        with pytest.raises(NumericalError, match="not finite"):
+            skr_monte_carlo(des, small_stats, power_b, noise, 20_000, np.random.default_rng(0))
+
+
+def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
+    # same child stream: channels drawn by sample_batch, then the BS and the UE
+    # noise, pushed through the probing model one round at a time
+    des = _random_design(4, 25, rng)
+    power_b, noise, n = 10.0, 1e-9, 300
+    got = skr._batch_second_moment(des, reference_stats, power_b, noise, n, np.random.default_rng(8))
+    stream = np.random.default_rng(8)
+    h, big_g, f = sample_batch(reference_stats, n, stream)
+    noise_a = _complex_normal(stream, n * 4, noise).reshape(n, 4)
+    noise_b = _complex_normal(stream, n * 4, noise).reshape(n, 4)
+    want = np.zeros((8, 8), dtype=complex)
+    for i in range(n):
+        obs = probe_pair(ChannelRealization(h[i], big_g[i], f[i], None), des, noise_a[i], noise_b[i], power_b)
+        z = np.concatenate([obs.y_a, obs.y_b])
+        want += np.outer(z, z.conj())
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_monte_carlo_is_bit_identical_for_any_pool_size(small_stats, rng, monkeypatch):
+    # 100 small batches per run, and batch 0 held back so that on two threads it
+    # finishes last: a sum in completion order would then differ in the last
+    # bits for about half of the seeds
+    des = _random_design(2, 4, rng)
+    kernel = skr._batch_second_moment
+    for seed in range(8):
+        reports, workers = [], []
+        for cpus in (1, 2):
+            calls, threads = itertools.count(), set()
+
+            def batch_zero_last(*args, calls=calls, threads=threads):
+                threads.add(threading.get_ident())
+                if next(calls) == 0:
+                    time.sleep(0.02)
+                return kernel(*args)
+
+            monkeypatch.setattr(skr, "_batch_second_moment", batch_zero_last)
+            monkeypatch.setattr(skr.os, "cpu_count", lambda cpus=cpus: cpus)
+            reports.append(
+                skr_monte_carlo(des, small_stats, 10.0, 1e-9, 20_000, np.random.default_rng(seed), n_batches=100)
+            )
+            workers.append(len(threads))
+        assert workers == [1, 2]
+        assert reports[0].bits == reports[1].bits
+        assert reports[0].std_error == reports[1].std_error
+
+
+def test_monte_carlo_runs_blas_on_one_thread_and_restores_it(small_stats, rng, monkeypatch):
+    threads = _blas.openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS reachable in this process")
+    get, put = threads
+    des = _random_design(2, 4, rng)
+    kernel = skr._batch_second_moment
+    seen, calls = [], itertools.count()
+
+    def spy(*args):
+        seen.append(get())
+        if next(calls) == 13:
+            raise NumericalError("synthetic batch failure")
+        return kernel(*args)
+
+    monkeypatch.setattr(skr, "_batch_second_moment", spy)
+    before = get()
+    put(2)  # a count the guard must lower and then bring back
+    try:
+        skr_monte_carlo(des, small_stats, 10.0, 1e-9, 20_000, np.random.default_rng(1))
+        assert seen == [1] * 10
+        assert get() == 2
+        with pytest.raises(NumericalError, match="synthetic"):
+            skr_monte_carlo(des, small_stats, 10.0, 1e-9, 20_000, np.random.default_rng(1))
+        assert len(seen) > 10 and set(seen) == {1}
+        assert get() == 2
+    finally:
+        put(before)
