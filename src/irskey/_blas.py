@@ -54,3 +54,4 @@ def single_blas_thread():
             _users -= 1
             if _users == 0:
                 put(_saved)
+                _saved = None

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
+from ._blas import single_blas_thread
 from .baseline import baseline_design
 from .channel import (
     ChannelStatistics,
@@ -96,13 +97,34 @@ class SweepResult:
     rows: tuple
 
 
+def _draw_designs(
+    config: SystemConfig, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` random designs as precoders [K, M, M] and phases [K, L].
+
+    Each trial consumes ``rng`` as one ``random_design`` call always has: the
+    real then the imaginary M x M Gaussian block (one fill of a [2, M, M]
+    slot), then L uniform angles. Scaling onto the budget and the phase
+    exponential run once over all trials.
+    """
+    m, l = config.M, config.L
+    try:
+        normals = np.empty((trials, 2, m, m))
+        angles = np.empty((trials, l))
+    except MemoryError as exc:
+        raise ConfigError(f"{trials} random designs of M={m}, L={l} do not fit in memory") from exc
+    for k in range(trials):
+        rng.standard_normal(out=normals[k])
+        angles[k] = rng.uniform(0.0, 2.0 * np.pi, l)
+    raw = normals[:, 0] + 1j * normals[:, 1]
+    raw *= np.sqrt(m * config.power_a / np.sum(np.abs(raw) ** 2, axis=(1, 2)))[:, None, None]
+    return raw, np.exp(1j * angles)
+
+
 def random_design(config: SystemConfig, rng: np.random.Generator) -> ProbeDesign:
     """Uniform random phases and an i.i.d. Gaussian precoder scaled onto the budget."""
-    m = config.M
-    raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    raw *= math.sqrt(m * config.power_a / float(np.sum(np.abs(raw) ** 2)))
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, config.L))
-    return ProbeDesign(precoder=raw, phases=phases)
+    precoders, phases = _draw_designs(config, rng, 1)
+    return ProbeDesign(precoder=precoders[0], phases=phases[0])
 
 
 def random_design_bits(
@@ -116,14 +138,8 @@ def random_design_bits(
     """
     if trials < 1:
         raise ConfigError(f"random trials must be >= 1, got {trials}")
-    designs = [random_design(config, rng) for _ in range(trials)]
-    draws = closed_form_bits(
-        np.stack([d.precoder for d in designs]),
-        np.stack([d.phases for d in designs]),
-        stats,
-        config.power_b,
-        config.noise,
-    )
+    precoders, phases = _draw_designs(config, rng, trials)
+    draws = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
     std_error = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return float(draws.mean()), std_error
 
@@ -213,10 +229,13 @@ def run_sweep(
 
     Sweep points are independent: each gets its own statistics and its own
     derived random stream, so results never depend on evaluation order. Points
-    run on a small thread pool and rows are assembled in spec order. The
-    random method averages ``spec.trials`` draws; the neural method loads a
-    per-(M, L) checkpoint from ``checkpoint_dir`` when given, otherwise trains
-    inline with a per-point derived seed.
+    run on a small thread pool (at most one thread per CPU and per point) and
+    rows are assembled in spec order. The pool runs OpenBLAS on one thread:
+    it already keeps the cores busy and a point's products are small. A serial
+    run (one point, one CPU or ``max_workers=1``) keeps the caller's BLAS
+    thread count. The random method averages ``spec.trials`` draws; the neural
+    method loads a per-(M, L) checkpoint from ``checkpoint_dir`` when given,
+    otherwise trains inline with a per-point derived seed.
     """
     if train_config is None:
         train_config = neural.TrainConfig()
@@ -228,7 +247,7 @@ def run_sweep(
             for i in range(n_points)
         ]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_evaluate_point, spec, base_config, i, train_config, checkpoint_dir)
                 for i in range(n_points)

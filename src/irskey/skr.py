@@ -1,8 +1,10 @@
 """Secret key rate evaluators: exact closed form, eigenmode approximation, Monte Carlo.
 
 The SKR of one probing round is the Gaussian mutual information between the
-two observations. It is computed from the joint observation covariance as
-logdet(R_a) + logdet(R_b) - logdet(R_joint), in bits.
+two observations, in bits. The closed form evaluates it as
+logdet(R_b) - logdet(R_b|a), with the conditional covariance assembled through
+the push-through identity; only Monte Carlo uses the three-logdet form
+logdet(R_a) + logdet(R_b) - logdet(R_joint), on sample covariances.
 """
 
 from __future__ import annotations
@@ -320,10 +322,15 @@ def skr_monte_carlo(
             f"{per_batch} samples per batch cannot estimate a {2 * design.M}-square covariance"
         )
     streams = rng.spawn(n_batches)
-    with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:
-        moments = list(
-            pool.map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
-        )
+    try:
+        with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:
+            moments = list(
+                pool.map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
+            )
+    except MemoryError as exc:
+        raise ConfigError(
+            f"{n_samples} Monte Carlo samples ({per_batch} per batch) do not fit in memory"
+        ) from exc
     batch_bits = np.empty(n_batches)
     for b, moment in enumerate(moments):
         try:

@@ -30,8 +30,9 @@ from irskey import (
     write_csv,
     write_plot_script,
 )
-from irskey import cli
-from irskey.experiments import random_design_bits
+from irskey import _blas, cli, experiments
+from irskey.errors import NumericalError
+from irskey.experiments import _draw_designs, random_design_bits
 
 
 TINY_TRAIN = TrainConfig(epochs=1, samples_per_epoch=20, batch_size=10, seed=0)
@@ -112,6 +113,31 @@ def test_random_design_draws_differ():
     assert np.abs(a.precoder - b.precoder).max() > 1e-3
 
 
+def _per_trial_reference(m, l, power_a, rng, trials):
+    # the stream order of one random_design call per trial, written out
+    precoders, phases = [], []
+    for _ in range(trials):
+        raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        raw *= math.sqrt(m * power_a / float(np.sum(np.abs(raw) ** 2)))
+        precoders.append(raw)
+        phases.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, l)))
+    return np.array(precoders), np.array(phases)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("side", [1, 2, 5, 12])
+def test_draw_designs_matches_per_trial_stream(m, side):
+    cfg = SystemConfig(M=m, L_h=side, L_v=side)
+    for trials in (1, 2, 100):
+        for seed in (0, 1, 2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            precoders, phases = _draw_designs(cfg, rng, trials)
+            want_precoders, want_phases = _per_trial_reference(m, cfg.L, cfg.power_a, ref_rng, trials)
+            assert np.array_equal(precoders, want_precoders)
+            assert np.array_equal(phases, want_phases)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # --------------------------------------------------------------------------
 # sweep execution
 
@@ -153,6 +179,41 @@ def test_run_sweep_results_independent_of_worker_count(reference_setup):
     seq = run_sweep(spec, reference_setup, max_workers=1)
     par = run_sweep(spec, reference_setup, max_workers=3)
     assert seq.rows == par.rows
+
+
+def test_run_sweep_pool_runs_blas_on_one_thread_and_restores_it(monkeypatch):
+    threads = _blas.openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS reachable in this process")
+    get, put = threads
+    evaluate = experiments._evaluate_point
+    seen, failing = [], []
+
+    def spy(spec, base_config, index, *rest):
+        seen.append(get())
+        if index in failing:
+            raise NumericalError("synthetic point failure")
+        return evaluate(spec, base_config, index, *rest)
+
+    monkeypatch.setattr(experiments, "_evaluate_point", spy)
+    spec = SweepSpec("eta", (0.0, 0.3, 0.6), methods=("baseline", "random"), trials=3)
+    before = get()
+    put(2)  # a count the pool must lower and then bring back
+    try:
+        run_sweep(spec, _tiny_system(), max_workers=2)
+        assert seen == [1, 1, 1]
+        assert get() == 2
+        failing.append(1)
+        with pytest.raises(NumericalError, match="synthetic"):
+            run_sweep(spec, _tiny_system(), max_workers=2)
+        assert seen == [1] * 6
+        assert get() == 2
+        failing.clear()
+        run_sweep(spec, _tiny_system(), max_workers=1)  # serial: the caller's count
+        assert seen[6:] == [2, 2, 2]
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_run_sweep_uses_checkpoints_when_given(tmp_path):
@@ -468,6 +529,24 @@ def test_cli_mc_check_rejects_uneven_or_undersized_batches(tmp_path, capsys, sam
     assert cli.main(argv) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "mc_check.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-check", "--samples", str(10**15), "--batches", "2"],
+        ["skr", "--method", "random", "--trials", str(10**15)],
+    ],
+)
+def test_cli_oversized_request_is_a_config_error(tmp_path, capsys, argv):
+    # each buffer is far beyond any address space, so the allocation fails at
+    # once; numpy's MemoryError used to escape main() as a traceback
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "memory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
