@@ -15,7 +15,6 @@ from .baseline import (
     WaterfillResult,
     baseline_design,
     equal_phase_vector,
-    per_mode_objective,
     reconstruct_precoder,
     waterfill,
 )
@@ -73,6 +72,7 @@ from .skr import (
     SkrReport,
     combined_covariance,
     effective_variance,
+    per_mode_objective,
     skr_approximate,
     skr_closed_form,
     skr_monte_carlo,

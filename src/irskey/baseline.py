@@ -22,7 +22,7 @@ import numpy as np
 from .channel import ChannelStatistics, SystemConfig, channel_statistics
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign
-from .skr import effective_variance
+from .skr import _LN2, effective_variance, per_mode_objective
 
 __all__ = [
     "WaterfillResult",
@@ -34,7 +34,6 @@ __all__ = [
     "baseline_design",
 ]
 
-_LN2 = math.log(2.0)
 _MODE_FLOOR = 1e-12  # correlation eigenvalues below this cannot be whitened
 _EPS = 4.0 * np.finfo(float).eps  # relative step at which a Newton iteration has converged
 _MAX_ITER = 100
@@ -59,16 +58,6 @@ def equal_phase_vector(L: int, phase: float = 0.0) -> np.ndarray:
     if L < 1:
         raise ConfigError("surface size must be >= 1")
     return np.full(L, np.exp(1j * phase))
-
-
-def per_mode_objective(q: float, var: float, power_a: float, power_b: float, noise: float) -> float:
-    """Approximate-SKR contribution of one eigenmode carrying squared gain ``q``."""
-    if q < 0:
-        raise ConfigError(f"mode power must be nonnegative, got {q}")
-    sig = power_a * var * q
-    num = (power_b * sig + noise * power_a) * (sig + noise)
-    den = noise * power_b * sig + noise * power_a * sig + power_a * noise**2
-    return math.log2(num / den)
 
 
 def _marginal_nats(q: float, a: float, b: float) -> float:
@@ -192,10 +181,9 @@ def waterfill(
     q_peak = _marginal_peak(a, b)
     options = [_active_set_powers(p[:k], m, a, b, q_peak, tol) for k in range(m, 1, -1)]
     options.append(([m * p[0]] + [0.0] * (m - 1), _marginal_nats(m * p[0], a, b) * p[0]))
-    scored = [
-        (sum(per_mode_objective(qi, var, power_a, power_b, noise) for qi in q), q, mu)
-        for q, mu in filter(None, options)
-    ]
+    options = [option for option in options if option is not None]
+    modes = per_mode_objective(np.array([q for q, _ in options]), var, power_a, power_b, noise)
+    scored = [(sum(row.tolist()), q, mu) for row, (q, mu) in zip(modes, options)]
     obj, q, mu_nats = max(scored, key=lambda option: option[0])  # first of equals: most modes
     return WaterfillResult(mode_powers=np.array(q), water_level=mu_nats / _LN2, objective_bits=obj)
 

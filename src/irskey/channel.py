@@ -210,10 +210,6 @@ class ChannelStatistics:
     def R_irs_sqrt(self) -> np.ndarray:
         return psd_sqrt(self.R_irs)
 
-    @cached_property
-    def cascade_cov(self) -> np.ndarray:
-        return cascade_covariance(self)
-
 
 def cascade_covariance(stats: ChannelStatistics) -> np.ndarray:
     """Covariance of the stacked channel [h; vec(G dg(f))], size M(L+1) square.

@@ -4,9 +4,11 @@ A two-hidden-layer ReLU MLP maps the UE coordinates to two real head vectors
 that are reshaped into a complex precoder and reflection phases. Normalization
 layers enforce the power budget and unit modulus structurally, so every
 forward output is feasible for arbitrary parameter values. Training minimizes
-the negative batch-mean SKR with Adam; gradients are propagated analytically
-through the log-determinants, the covariance assembly, and both
-normalizations (no autodiff framework involved).
+the negative batch-mean SKR with Adam. The loss and its cogradients with
+respect to the signal covariance and the noise Gram come from the Gaussian-MI
+core the closed form uses (``skr._gaussian_mi``); they are propagated
+analytically through the covariance assembly and both normalizations (no
+autodiff framework involved).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from ._blas import single_blas_thread
 from .channel import ChannelStatistics, SystemConfig, channel_statistics, link_gains
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign
+from .skr import _LN2, _gaussian_mi, _hermitian_part
 
 __all__ = [
     "NetParams",
@@ -42,7 +45,6 @@ __all__ = [
 ]
 
 HIDDEN = 200
-_LN2 = math.log(2.0)
 _EPS_GUARD = 1e-12
 _CHECKPOINT_FORMAT = "irskey-net-1"
 _PACKING = "real-imag-colmajor"
@@ -210,10 +212,6 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
     return ProbeDesign(precoder=precoder[0], phases=phases[0])
 
 
-def _hermitize(mats: np.ndarray) -> np.ndarray:
-    return 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
-
-
 def _zero_grads(params: NetParams) -> NetParams:
     return NetParams(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
 
@@ -235,45 +233,22 @@ def _loss_and_grad(
     var = beta_direct + gamma * quad  # per-sample effective variance
     sandwich = np.swapaxes(precoder, 1, 2) @ (r_bs @ precoder.conj())
     gram = np.einsum("kij,kim->kjm", precoder, precoder.conj())
-    r_z = var[:, None, None] * sandwich
-
-    noise = system.noise
-    power_b = system.power_b
-    sqrt_pb = math.sqrt(power_b)
-    r_a = _hermitize(power_b * r_z + noise * gram)
-    r_b = _hermitize(r_z + noise * np.eye(m))
-    joint = np.empty((k, 2 * m, 2 * m), dtype=complex)
-    joint[:, :m, :m] = r_a
-    joint[:, :m, m:] = sqrt_pb * _hermitize(r_z)
-    joint[:, m:, :m] = sqrt_pb * _hermitize(r_z)
-    joint[:, m:, m:] = r_b
-
-    def logdet(mats: np.ndarray) -> np.ndarray:
-        chol = np.linalg.cholesky(mats)
-        return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
-
     try:
-        mi_nats = logdet(r_a) + logdet(r_b) - logdet(joint)
-    except np.linalg.LinAlgError:
-        # singular determinant argument: surface as an infinite loss signal
+        r_z = _hermitian_part(var[:, None, None] * sandwich)
+        mi_nats, _, k_z, k_g = _gaussian_mi(
+            r_z, _hermitian_part(gram), system.power_b, system.noise, want_grad=want_grad
+        )
+    except (NumericalError, np.linalg.LinAlgError):
+        # singular covariance: surface as an infinite loss signal
         return math.inf, (_zero_grads(params) if want_grad else None)
 
     loss_bits = float(-np.mean(mi_nats) / _LN2)
     if not want_grad:
         return loss_bits, None
 
-    inv_a = np.linalg.inv(r_a)
-    inv_b = np.linalg.inv(r_b)
-    inv_j = np.linalg.inv(joint)
-    j11 = inv_j[:, :m, :m]
-    j12 = inv_j[:, :m, m:]
-    j22 = inv_j[:, m:, m:]
-    k_z = power_b * (inv_a - j11) + (inv_b - j22) - sqrt_pb * (j12 + np.swapaxes(j12, -1, -2).conj())
-    k_n = noise * (inv_a - j11)
-
     scale = -1.0 / (k * _LN2)  # d(loss)/d(sum of per-sample MI in nats)
     # cogradients wrt conj(precoder) and conj(phases) of the scaled objective
-    d_p = var[:, None, None] * (r_bs @ precoder.conj() @ k_z) + precoder.conj() @ k_n
+    d_p = var[:, None, None] * (r_bs @ precoder.conj() @ k_z) + precoder.conj() @ k_g
     g_p = scale * d_p.conj()
     trace_kz_w = np.einsum("kij,kji->k", k_z, sandwich).real
     g_theta = (scale * gamma * trace_kz_w)[:, None] * r_sq_theta

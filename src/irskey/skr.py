@@ -1,10 +1,10 @@
 """Secret key rate evaluators: exact closed form, eigenmode approximation, Monte Carlo.
 
 The SKR of one probing round is the Gaussian mutual information between the
-two observations, in bits. The closed form evaluates it as
-logdet(R_b) - logdet(R_b|a), with the conditional covariance assembled through
-the push-through identity; only Monte Carlo uses the three-logdet form
-logdet(R_a) + logdet(R_b) - logdet(R_joint), on sample covariances.
+two observations, in bits. The closed form and the trainer's loss share one
+core, ``_gaussian_mi`` (logdet(R_b) - logdet(R_b|a) through the push-through
+identity, with cogradients on request); only Monte Carlo uses the three-logdet
+form logdet(R_a) + logdet(R_b) - logdet(R_joint), on sample covariances.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "closed_form_bits",
     "combined_covariance",
     "effective_variance",
+    "per_mode_objective",
     "skr_closed_form",
     "skr_approximate",
     "skr_monte_carlo",
@@ -74,19 +75,6 @@ def _mi_bits_from_joint(joint: np.ndarray) -> np.ndarray:
     ld_b = _logdet_psd(_hermitian_part(joint[..., m:, m:]))
     ld_j = _logdet_psd(_hermitian_part(joint))
     return (ld_a + ld_b - ld_j) / _LN2
-
-
-def _assemble_joint(r_z: np.ndarray, gram: np.ndarray, power_b: float, noise: float) -> np.ndarray:
-    """Joint covariance of (y_a, y_b) from the signal covariance and noise Gram."""
-    m = r_z.shape[-1]
-    eye = np.eye(m)
-    cross = np.sqrt(power_b) * r_z
-    joint = np.empty(r_z.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    joint[..., :m, :m] = power_b * r_z + noise * gram
-    joint[..., :m, m:] = cross
-    joint[..., m:, :m] = np.swapaxes(cross, -1, -2).conj()
-    joint[..., m:, m:] = r_z + noise * eye
-    return joint
 
 
 def _signal_covariance(precoders: np.ndarray, phases: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
@@ -151,6 +139,64 @@ def _nonnegative_bits(bits: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(bits <= 0.0, 0.0, bits)
 
 
+def _gaussian_mi(r_z: np.ndarray, gram: np.ndarray, power_b: float, noise: float, keep=None, want_grad=False):
+    """Gaussian mutual information in nats of probing rounds stacked over leading axes.
+
+    With noise Gram G and uplink covariance R_a = power_b R_z + N G,
+    MI = logdet(R_z + N I) - M log N - logdet(S) with S = I + G R_a^-1 R_z =
+    R_b|a / N (push-through identity): both log-determinants are of
+    identity-plus-PSD matrices, so nothing cancels at high SNR.
+
+    ``keep`` (boolean [..., M], for a diagonal G) restricts the uplink to the
+    modes it marks: dropped modes get identity rows and columns in R_a and zero
+    right-hand-side rows, which leaves the kept block's solve unchanged.
+
+    Returns (nats, magnitude, k_z, k_g); ``magnitude`` = |logdet R_b| +
+    |logdet R_b|a| scales the roundoff of ``nats``. With ``want_grad`` (no
+    mask), dMI = tr(k_z dR_z) + tr(k_g dG) with k_z = R_b^-1 - N X S^-1 X^H and
+    k_g = -power_b W S^-1 W^H, where X = R_a^-1 G and W = R_a^-1 R_z come from
+    one solve; otherwise both are None. Singular or non-PD covariances raise
+    NumericalError.
+    """
+    m = r_z.shape[-1]
+    eye = np.eye(m)
+    r_a = power_b * r_z + noise * gram
+    rhs = r_z
+    if keep is not None:
+        keep_i = keep[..., :, None]
+        keep_j = keep[..., None, :]
+        r_a = np.where(keep_i & keep_j, r_a, eye)
+        rhs = np.where(keep_i, r_z, 0.0)
+    if want_grad:
+        rhs = np.concatenate([gram, rhs], axis=-1)
+    try:
+        sol = np.linalg.solve(r_a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"uplink covariance is singular: {exc}") from exc
+    w = sol[..., -m:]
+    if keep is None:
+        s = gram @ w
+    else:
+        # kept rows I + G_k W, the coupling mirrored below them, and a dropped
+        # block carrying only the (unobserved) residual signal
+        s = np.diagonal(gram, axis1=-2, axis2=-1)[..., :, None] * w
+        residual = (r_z - power_b * r_z @ w) / noise
+        s = np.where(keep_i, s, np.where(keep_j, np.swapaxes(s, -1, -2).conj(), residual))
+    s = eye + s
+    s = 0.5 * (s + np.swapaxes(s, -1, -2).conj())  # solver roundoff only
+    ld_b = _logdet_psd(r_z + noise * eye)
+    ld_cond = _logdet_psd(s) + m * math.log(noise)
+    nats = ld_b - ld_cond
+    magnitude = np.abs(ld_b) + np.abs(ld_cond)
+    if not want_grad:
+        return nats, magnitude, None, None
+    x = sol[..., :m]
+    t = np.linalg.inv(s)
+    k_z = np.linalg.inv(r_z + noise * eye) - noise * (x @ t @ np.swapaxes(x, -1, -2).conj())
+    k_g = -power_b * (w @ t @ np.swapaxes(w, -1, -2).conj())
+    return nats, magnitude, k_z, k_g
+
+
 def closed_form_bits(
     precoders: np.ndarray,
     phases: np.ndarray,
@@ -160,21 +206,13 @@ def closed_form_bits(
 ) -> np.ndarray:
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
-    Evaluates logdet(R_b) - logdet(R_b|a) in the eigenbasis of each precoder
-    Gram matrix. The conditional covariance is assembled through the
-    push-through identity, so every block is a sum of positive semidefinite
-    pieces; the naive three-logdet combination cancels catastrophically once
-    the two observations are nearly deterministic functions of each other.
+    Evaluates ``_gaussian_mi`` in the eigenbasis of each precoder Gram matrix.
     Uplink observation components outside the precoder row space have zero
     variance and carry no information, so the evaluation restricts to that
     subspace; power-starved designs (e.g. water-filling at low SNR) stay
     evaluable, and the retained Gram eigenmodes have dynamic range below
-    1/_RANK_RTOL by construction.
-
-    The retained rank differs between samples, so it is applied as a mask:
-    dropped modes get identity rows and columns in the restricted uplink
-    covariance and zero right-hand-side rows, which leaves the kept block's
-    solve unchanged and zeroes the dropped rows of its solution.
+    1/_RANK_RTOL by construction. The retained rank differs between samples,
+    so it is applied as the core's mask.
     """
     p = np.asarray(precoders)
     gram = _hermitian_part(np.swapaxes(p, -1, -2) @ p.conj())
@@ -190,36 +228,35 @@ def closed_form_bits(
     eig_min = np.linalg.eigvalsh(r_z)[..., 0]
     if np.any(eig_min < -1e-10 * scale):
         raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
-    m = gram.shape[-1]
-    eye = np.eye(m)
     keep = (lam > _RANK_RTOL * top) & live[..., None]
-    keep_i = keep[..., :, None]
-    keep_j = keep[..., None, :]
     z_rot = np.swapaxes(basis, -1, -2).conj() @ r_z @ basis
     z_rot = 0.5 * (z_rot + np.swapaxes(z_rot, -1, -2).conj())
-    r_a = np.where(keep_i & keep_j, power_b * z_rot + noise * (lam[..., None] * eye), eye)
-    try:
-        x = np.linalg.solve(r_a, np.where(keep_i, z_rot, 0.0))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"restricted uplink covariance is singular: {exc}") from exc
-    # conditional covariance of y_b given y_a, in units of the noise power:
-    # kept rows I + Lambda_k X, the coupling mirrored below them, and a dropped
-    # block carrying only the (unobserved) residual signal
-    scaled = lam[..., :, None] * x
-    residual = (z_rot - power_b * z_rot @ x) / noise
-    mirrored = np.swapaxes(scaled, -1, -2).conj()
-    cond = eye + np.where(keep_i, scaled, np.where(keep_j, mirrored, residual))
-    cond = 0.5 * (cond + np.swapaxes(cond, -1, -2).conj())  # solver roundoff only
-    ld_b = _logdet_psd(z_rot + noise * eye)
-    ld_cond = _logdet_psd(cond) + m * math.log(noise)
-    bits = np.where(live, (ld_b - ld_cond) / _LN2, 0.0)
-    return _nonnegative_bits(bits, (np.abs(ld_b) + np.abs(ld_cond)) / _LN2)
+    nats, magnitude, _, _ = _gaussian_mi(z_rot, lam[..., None] * np.eye(gram.shape[-1]), power_b, noise, keep)
+    bits = np.where(live, nats / _LN2, 0.0)
+    return _nonnegative_bits(bits, magnitude / _LN2)
 
 
 def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:
     """Exact SKR of the probing round for an arbitrary design (``closed_form_bits`` with K = 1)."""
     bits = closed_form_bits(design.precoder[None], design.phases[None], stats, power_b, noise)
     return SkrReport(bits=float(bits[0]), method="closed_form")
+
+
+def per_mode_objective(q, var: float, power_a: float, power_b: float, noise: float):
+    """Approximate-SKR contribution in bits of eigenmodes carrying squared gains ``q``.
+
+    ``q`` is a scalar or an array, and the result has its shape. Each mode's
+    logarithm is ``math.log2``, so a mode's value does not depend on how many
+    modes are evaluated together.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise ConfigError(f"mode power must be nonnegative, got {q.min()}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/nan, as in float math
+        sig = power_a * var * q
+        num = (power_b * sig + noise * power_a) * (sig + noise)
+        ratio = num / (noise * power_b * sig + noise * power_a * sig + power_a * noise**2)
+    return np.reshape([math.log2(r) for r in ratio.ravel().tolist()], q.shape)[()]
 
 
 def skr_approximate(
@@ -233,25 +270,26 @@ def skr_approximate(
     """SKR with the noise Gram matrix replaced by its power-budget average.
 
     ``precoder_norm`` is the unit-budget precoder (trace of its Gram equal to
-    M); the actual precoder is sqrt(power_a) times it. The result decomposes
-    over the eigenvalues of precoder_norm^T R_bs precoder_norm^*, which is how
-    it is evaluated.
+    M); the actual precoder is sqrt(power_a) times it. The result is the sum
+    of ``per_mode_objective`` over the eigenvalues of
+    precoder_norm^T R_bs precoder_norm^*. Each mode's value is the log of a
+    ratio, with roundoff of order one ulp, so the clamp takes one bit per mode
+    as its scale.
     """
     p_e = np.asarray(precoder_norm)
     m = p_e.shape[0]
     budget = float(np.sum(np.abs(p_e) ** 2))
     if abs(budget - m) > 1e-6 * m:
         raise ConfigError(f"normalized precoder power {budget:.6e} misses budget {m}")
+    if power_a <= 0.0 or power_b <= 0.0 or noise <= 0.0:
+        raise ConfigError("powers and noise must be positive")
     var = effective_variance(phases, stats)
     sandwich = _hermitian_part(p_e.T @ stats.R_bs @ p_e.conj())
     q = np.linalg.eigvalsh(sandwich)
     if q.min() < -1e-10:
         raise NumericalError("precoder sandwich matrix indefinite")
-    q = np.clip(q, 0.0, None)
-    sig = power_a * var * q
-    num = np.log2(power_b * sig + noise * power_a) + np.log2(sig + noise)
-    den = np.log2(noise * power_b * sig + noise * power_a * sig + power_a * noise**2)
-    bits = _nonnegative_bits(np.sum(num - den), np.sum(np.abs(num) + np.abs(den)))
+    modes = per_mode_objective(np.clip(q, 0.0, None), var, power_a, power_b, noise)
+    bits = _nonnegative_bits(np.sum(modes), m)
     return SkrReport(bits=float(bits), method="approximate")
 
 

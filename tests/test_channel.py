@@ -275,7 +275,7 @@ def test_sample_realization_direct_covariance_uncorrelated(rng):
 def test_sample_cascade_covariance_matches_model(small_stats, rng):
     # empirical covariance of the stacked cascade vs the closed-form blocks
     n = 100_000
-    model = small_stats.cascade_cov
+    model = cascade_covariance(small_stats)
     h, big_g, f = sample_batch(small_stats, n, rng)
     casc = np.concatenate(
         [h, (big_g * f[:, None, :]).reshape(n, -1, order="F")], axis=1

@@ -14,6 +14,7 @@ from irskey import (
     SystemConfig,
     TrainConfig,
     channel_statistics,
+    dbm_to_mw,
     forward,
     gradient,
     init_params,
@@ -195,6 +196,41 @@ def test_gradient_matches_finite_differences(rng):
         fd = (up - down) / (2 * step)
         denom = max(abs(fd), abs(gvec[idx]), 1e-8)
         assert abs(gvec[idx] - fd) / denom < 1e-4
+
+
+@pytest.mark.parametrize("power_dbm", [70.0, 90.0])
+def test_gradient_matches_finite_differences_at_high_snr(power_dbm):
+    # criterion 05's procedure (seeds, steep/flat rule, tolerances) with both
+    # powers raised: the analytic gradient must stay exact where the
+    # observations are nearly deterministic functions of each other
+    power = dbm_to_mw(power_dbm)
+    system = SystemConfig(M=2, L_h=2, L_v=2, power_a=power, power_b=power)
+    step = 1e-5
+    for cfg_i in range(10):
+        rng = np.random.default_rng((77, cfg_i))
+        params = init_params(2, 4, rng)
+        batch = np.column_stack([rng.uniform(5, 15, 3), rng.uniform(5, 15, 3), np.zeros(3)])
+        _, grads = loss_and_gradient(params, batch, system)
+        gvec = params_to_vector(grads)
+        pvec = params_to_vector(params)
+        steep, flat = 0, 0
+        for idx in rng.permutation(pvec.size):
+            if steep >= 20 and flat >= 20:
+                break
+            probe = pvec.copy()
+            probe[idx] += step
+            up = loss(vector_to_params(probe, params), batch, system)
+            probe[idx] -= 2 * step
+            down = loss(vector_to_params(probe, params), batch, system)
+            fd = (up - down) / (2 * step)
+            if abs(fd) >= 1e-5 and steep < 20:
+                steep += 1
+                rel = abs(gvec[idx] - fd) / max(abs(fd), abs(gvec[idx]))
+                assert rel < 1e-4, f"config {cfg_i}, coordinate {idx}: rel error {rel:.2e}"
+            elif abs(fd) < 1e-5 and flat < 20:
+                flat += 1
+                assert abs(gvec[idx] - fd) < 1e-5
+        assert steep == 20 and flat == 20
 
 
 def test_gradient_of_phase_head_vanishes_without_reflect_path(rng):

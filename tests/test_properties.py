@@ -1,9 +1,10 @@
 """Property tests of the batched closed-form kernel, the factored signal
-covariance and the water-filling allocation.
+covariance, the training loss and the water-filling allocation.
 
 Ranges: M <= 8, L <= 36, antenna correlation in [0, 0.99), both powers in
 -10...70 dBm, and precoders of every rank from 0 (all zero) to M, some with
-a component just below the kernel's rank cutoff added.
+a component just below the kernel's rank cutoff added. The power-monotonicity
+and training-loss properties take M <= 4, L <= 9 and powers up to 110 dBm.
 """
 
 import math
@@ -21,7 +22,11 @@ from irskey import (
     dbm_to_mw,
     effective_variance,
     equal_phase_vector,
+    forward,
+    init_params,
+    loss,
     per_mode_objective,
+    skr_closed_form,
     waterfill,
 )
 from irskey.skr import _RANK_RTOL, closed_form_bits, combined_covariance
@@ -63,12 +68,12 @@ def _reference_bits(p, theta, stats, power_b, noise):
 
 
 @st.composite
-def scenarios(draw):
-    m = draw(st.integers(1, 8))
+def scenarios(draw, max_m=8, max_side=6):
+    m = draw(st.integers(1, max_m))
     cfg = SystemConfig(
         M=m,
-        L_h=draw(st.integers(1, 6)),
-        L_v=draw(st.integers(1, 6)),
+        L_h=draw(st.integers(1, max_side)),
+        L_v=draw(st.integers(1, max_side)),
         eta=draw(st.floats(0.0, 0.99, exclude_max=True)),
         power_a=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
         power_b=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
@@ -130,6 +135,43 @@ def test_factored_covariance_equals_dense_cascade_sandwich(scenario):
         dense = sel.T @ dense_cov @ sel.conj()
         factored = combined_covariance(design, stats)
         assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scenarios(max_m=4, max_side=3), st.lists(st.floats(-10.0, 110.0), min_size=2, max_size=5))
+def test_closed_form_never_decreases_with_power_b(scenario, power_b_dbms):
+    # a stronger uplink only lowers the noise on y_a, so the mutual information cannot fall
+    cfg, precoders, phases = scenario
+    stats = channel_statistics(cfg)
+    previous = None
+    for power_b in sorted(dbm_to_mw(dbm) for dbm in power_b_dbms):
+        bits = closed_form_bits(precoders, phases, stats, power_b, cfg.noise)
+        if previous is not None:
+            assert np.all(bits >= previous * (1.0 - 1e-12))
+        previous = bits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 4),
+    side=st.integers(1, 3),
+    eta=st.floats(0.0, 0.99, exclude_max=True),
+    power_a_dbm=st.floats(-10.0, 110.0),
+    power_b_dbm=st.floats(-10.0, 110.0),
+    x=st.floats(5.0, 15.0),
+    y=st.floats(5.0, 15.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_loss_equals_minus_closed_form(m, side, eta, power_a_dbm, power_b_dbm, x, y, seed):
+    cfg = SystemConfig(
+        M=m, L_h=side, L_v=side, eta=eta,
+        power_a=dbm_to_mw(power_a_dbm), power_b=dbm_to_mw(power_b_dbm),
+    )
+    params = init_params(m, cfg.L, np.random.default_rng(seed), hidden=16)
+    loc = (x, y, 0.0)
+    stats = channel_statistics(cfg, pos_ue=loc)
+    bits = skr_closed_form(forward(params, loc, cfg), stats, cfg.power_b, cfg.noise).bits
+    assert abs(loss(params, [loc], cfg) + bits) <= 1e-12 * bits
 
 
 def _marginal_bits(q, var, power_a, power_b, noise):

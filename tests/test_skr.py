@@ -225,7 +225,7 @@ def test_closed_form_matches_monte_carlo(small_stats, rng):
 def test_approximate_equals_determinant_form(reference_stats, rng):
     # dual route: per-eigenmode sum vs the log-determinant expression with the
     # noise Gram replaced by its power-budget average power_a * I
-    from irskey.skr import _assemble_joint, _mi_bits_from_joint
+    from irskey.skr import _mi_bits_from_joint
 
     power_a, power_b, noise = 10.0, 10.0, 1e-9
     for _ in range(10):
@@ -236,7 +236,9 @@ def test_approximate_equals_determinant_form(reference_stats, rng):
         var = effective_variance(phases, reference_stats)
         scaled = math.sqrt(power_a) * p_e
         r_z = var * scaled.T @ reference_stats.R_bs @ scaled.conj()
-        joint = _assemble_joint(r_z, power_a * np.eye(4), power_b, noise)
+        cross = math.sqrt(power_b) * r_z
+        joint = np.block([[power_b * r_z + noise * power_a * np.eye(4), cross],
+                          [cross.conj().T, r_z + noise * np.eye(4)]])
         want = float(_mi_bits_from_joint(joint))
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -256,6 +258,12 @@ def test_approximate_scalar_matches_closed_form():
 def test_approximate_rejects_off_budget_precoder(reference_stats):
     with pytest.raises(ConfigError):
         skr_approximate(np.eye(4) * 2.0, equal_phase_vector(25), reference_stats, 10.0, 10.0, 1e-9)
+
+
+@pytest.mark.parametrize("power_a, power_b, noise", [(-10.0, 10.0, 1e-9), (10.0, 0.0, 1e-9), (10.0, 10.0, -1e-9)])
+def test_approximate_rejects_nonpositive_power_or_noise(reference_stats, power_a, power_b, noise):
+    with pytest.raises(ConfigError):
+        skr_approximate(np.eye(4, dtype=complex), equal_phase_vector(25), reference_stats, power_a, power_b, noise)
 
 
 # --------------------------------------------------------------------------
