@@ -83,14 +83,13 @@ def _write_json(path: str, payload: dict) -> None:
 def _cmd_skr(args) -> int:
     system, train_cfg, _ = _load(args)
     stats = channel_statistics(system)
-    seed = 0 if args.seed is None else args.seed
     std_error = None
     if args.method == "baseline":
         design = baseline_design(system, stats)
         bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
     elif args.method == "random":
         bits, std_error = experiments.random_design_bits(
-            system, stats, np.random.default_rng(seed), args.trials
+            system, stats, np.random.default_rng(args.seed or 0), args.trials
         )
     else:
         if args.checkpoint is None:
@@ -181,7 +180,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_mc_check(args) -> int:
     system, _, _ = _load(args)
     stats = channel_statistics(system)
-    seed = 0 if args.seed is None else args.seed
     design = baseline_design(system, stats)
     closed = skr_closed_form(design, stats, system.power_b, system.noise)
     mc = skr_monte_carlo(
@@ -190,7 +188,7 @@ def _cmd_mc_check(args) -> int:
         system.power_b,
         system.noise,
         n_samples=args.samples,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(args.seed or 0),
         n_batches=args.batches,
     )
     gap = abs(closed.bits - mc.bits)
@@ -224,6 +222,8 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse and execute; raises on failure (see ``main`` for exit codes)."""
     args = _build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     return _COMMANDS[args.command](args)
 
 

@@ -81,6 +81,8 @@ class SweepSpec:
                 raise ConfigError(f"unknown method {method!r}; pick from {METHODS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"sweep seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,10 @@ def _override(base: SystemConfig, variable: str, value) -> SystemConfig:
         root = math.isqrt(int(value))
         return dataclasses.replace(base, L_h=root, L_v=root)
     if variable == "power":
-        mw = dbm_to_mw(float(value))
+        try:
+            mw = dbm_to_mw(float(value))
+        except OverflowError as exc:  # 10**(dBm/10) overflows past ~3080 dBm
+            raise ConfigError(f"bad sweep power: {value} dBm") from exc
         return dataclasses.replace(base, power_a=mw, power_b=mw)
     if variable == "eta":
         return dataclasses.replace(base, eta=float(value))
@@ -187,13 +192,12 @@ def _pkg_net_bits(
 
 def _evaluate_point(
     spec: SweepSpec,
-    base_config: SystemConfig,
+    cfg: SystemConfig,
     index: int,
     train_config: neural.TrainConfig,
     checkpoint_dir: str | None,
 ) -> list:
     value = spec.values[index]
-    cfg = _override(base_config, spec.variable, value)
     stats = channel_statistics(cfg)
     rows = []
     for method in spec.methods:
@@ -239,17 +243,18 @@ def run_sweep(
     """
     if train_config is None:
         train_config = neural.TrainConfig()
+    configs = [_override(base_config, spec.variable, value) for value in spec.values]  # reject bad points first
     n_points = len(spec.values)
     workers = max_workers if max_workers is not None else min(n_points, os.cpu_count() or 1)
     if workers <= 1 or n_points == 1:
         per_point = [
-            _evaluate_point(spec, base_config, i, train_config, checkpoint_dir)
+            _evaluate_point(spec, configs[i], i, train_config, checkpoint_dir)
             for i in range(n_points)
         ]
     else:
         with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_evaluate_point, spec, base_config, i, train_config, checkpoint_dir)
+                pool.submit(_evaluate_point, spec, configs[i], i, train_config, checkpoint_dir)
                 for i in range(n_points)
             ]
             per_point = [f.result() for f in futures]

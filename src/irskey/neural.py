@@ -100,6 +100,8 @@ class TrainConfig:
             )
         if self.learning_rate <= 0.0:
             raise ConfigError("learning rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"training seed must be >= 0, got {self.seed}")
         (x_lo, x_hi), (y_lo, y_hi) = self.ue_region
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ConfigError("ue_region must span a nonempty rectangle")

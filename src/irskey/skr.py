@@ -67,6 +67,14 @@ def _logdet_psd(mat: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
+def _is_positive_definite(mat: np.ndarray) -> bool:
+    """Whether every stacked Hermitian matrix has a finite Cholesky factor (NaN passes LAPACK)."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(mat)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def _mi_bits_from_joint(joint: np.ndarray) -> np.ndarray:
     """Gaussian mutual information (bits) from a 2M x 2M joint covariance."""
     two_m = joint.shape[-1]
@@ -206,34 +214,40 @@ def closed_form_bits(
 ) -> np.ndarray:
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
-    Evaluates ``_gaussian_mi`` in the eigenbasis of each precoder Gram matrix.
-    Uplink observation components outside the precoder row space have zero
-    variance and carry no information, so the evaluation restricts to that
-    subspace; power-starved designs (e.g. water-filling at low SNR) stay
-    evaluable, and the retained Gram eigenmodes have dynamic range below
-    1/_RANK_RTOL by construction. The retained rank differs between samples,
-    so it is applied as the core's mask.
+    A design whose Gram eigenvalues all exceed _RANK_RTOL of the largest goes to
+    ``_gaussian_mi`` as it is; others go in the Gram eigenbasis, masked to the
+    modes above that cutoff (a zero precoder reads 0 bits). Cholesky certificates
+    (R_z + 0.5e-10 scale I; G - 2 _RANK_RTOL tr(G) I) skip both eigendecompositions;
+    where one fails the batch takes that eigenvalue test, as a design alone would.
     """
     p = np.asarray(precoders)
     gram = _hermitian_part(np.swapaxes(p, -1, -2) @ p.conj())
     if not np.isfinite(gram).all():
         raise NumericalError("precoder Gram matrix has non-finite entries")
-    evals, evecs = np.linalg.eigh(gram)
-    lam = evals[..., ::-1]
-    basis = evecs[..., ::-1]
-    top = lam[..., :1]
-    live = top[..., 0] > 0.0  # a zero precoder observes nothing: 0 bits
     r_z = _hermitian_part(_signal_covariance(p, phases, stats))
     scale = np.maximum(1.0, np.abs(r_z).max(axis=(-2, -1), initial=0.0))
-    eig_min = np.linalg.eigvalsh(r_z)[..., 0]
-    if np.any(eig_min < -1e-10 * scale):
-        raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
-    keep = (lam > _RANK_RTOL * top) & live[..., None]
-    z_rot = np.swapaxes(basis, -1, -2).conj() @ r_z @ basis
-    z_rot = 0.5 * (z_rot + np.swapaxes(z_rot, -1, -2).conj())
-    nats, magnitude, _, _ = _gaussian_mi(z_rot, lam[..., None] * np.eye(gram.shape[-1]), power_b, noise, keep)
-    bits = np.where(live, nats / _LN2, 0.0)
-    return _nonnegative_bits(bits, magnitude / _LN2)
+    eye = np.eye(gram.shape[-1])
+    if not _is_positive_definite(r_z + 0.5e-10 * scale[..., None, None] * eye):
+        eig_min = np.linalg.eigvalsh(r_z)[..., 0]
+        if np.any(eig_min < -1e-10 * scale):
+            raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
+    live = full = np.ones(gram.shape[:-2], dtype=bool)
+    if not _is_positive_definite(gram - 2.0 * _RANK_RTOL * np.einsum("...ii", gram).real[..., None, None] * eye):
+        evals, evecs = np.linalg.eigh(gram)
+        lam = evals[..., ::-1]
+        live = lam[..., 0] > 0.0  # a zero precoder observes nothing: 0 bits
+        keep = (lam > _RANK_RTOL * lam[..., :1]) & live[..., None]
+        full = keep.all(axis=-1)
+    nats, magnitude = np.zeros(full.shape), np.zeros(full.shape)
+    if full.any():
+        nats[full], magnitude[full], _, _ = _gaussian_mi(r_z[full], gram[full], power_b, noise)
+    if not full.all():
+        part = ~full
+        basis = evecs[part][..., ::-1]
+        z_rot = np.swapaxes(basis, -1, -2).conj() @ r_z[part] @ basis
+        z_rot = 0.5 * (z_rot + np.swapaxes(z_rot, -1, -2).conj())
+        nats[part], magnitude[part], _, _ = _gaussian_mi(z_rot, lam[part][..., None] * eye, power_b, noise, keep[part])
+    return _nonnegative_bits(np.where(live, nats / _LN2, 0.0), magnitude / _LN2)
 
 
 def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:

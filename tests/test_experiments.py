@@ -465,6 +465,43 @@ def test_cli_power_sweep_baseline_at_low_power(tmp_path):
     assert float(rows[0][3]) > 0.0
 
 
+def test_cli_sweep_power_past_float_range_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # 10**(4000/10) overflowed on a pool thread and escaped main() as an OverflowError
+    evaluated = []
+    monkeypatch.setattr(experiments, "_evaluate_point", lambda *args: evaluated.append(args) or [])
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nvariable = power\nvalues = 10, 4000\nmethods = baseline\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "4000" in err and "Traceback" not in err
+    assert evaluated == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["skr", "--method", "random", "--seed", "-1"], FULL_INI),
+        (["mc-check", "--samples", "20000", "--seed", "-1"], FULL_INI),
+        (["train", "--seed", "-1"], FULL_INI),
+        (["sweep", "--seed", "-1"], FULL_INI),
+        (["train"], FULL_INI.replace("seed = 3", "seed = -2")),
+        (["sweep"], FULL_INI.replace("seed = 2", "seed = -2")),
+    ],
+    ids=["skr-flag", "mc-check-flag", "train-flag", "sweep-flag", "train-config", "sweep-config"],
+)
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, argv, ini):
+    # numpy rejects negative seeds with a ValueError that escaped main() as a traceback
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src_dir = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, irskey.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"

@@ -5,6 +5,8 @@ Ranges: M <= 8, L <= 36, antenna correlation in [0, 0.99), both powers in
 -10...70 dBm, and precoders of every rank from 0 (all zero) to M, some with
 a component just below the kernel's rank cutoff added. The power-monotonicity
 and training-loss properties take M <= 4, L <= 9 and powers up to 110 dBm.
+The mixed-batch and unitary-pilot properties take 2 <= M <= 6 (1 <= M for the
+pilot), L <= 16 and powers up to 70 and 50 dBm.
 """
 
 import math
@@ -29,7 +31,7 @@ from irskey import (
     skr_closed_form,
     waterfill,
 )
-from irskey.skr import _RANK_RTOL, closed_form_bits, combined_covariance
+from irskey.skr import _RANK_RTOL, _mi_bits_from_joint, closed_form_bits, combined_covariance
 
 
 def _reference_bits(p, theta, stats, power_b, noise):
@@ -149,6 +151,105 @@ def test_closed_form_never_decreases_with_power_b(scenario, power_b_dbms):
         if previous is not None:
             assert np.all(bits >= previous * (1.0 - 1e-12))
         previous = bits
+
+
+def _unitary(rng, m):
+    """Haar-random unitary: QR of a complex Gaussian matrix with the phases of R's diagonal removed."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def mixed_batches(draw):
+    """Batches mixing full-rank, near-cutoff, rank-deficient and zero precoders.
+
+    A near-cutoff precoder has Gram eigenvalue ratio 1e-13...1e-11 between its
+    weakest and strongest mode, on both sides of the 1e-12 rank cutoff and of
+    the Cholesky rank certificate's threshold.
+    """
+    m = draw(st.integers(2, 6))
+    cfg = SystemConfig(
+        M=m,
+        L_h=draw(st.integers(1, 4)),
+        L_v=draw(st.integers(1, 4)),
+        eta=draw(st.floats(0.0, 0.95)),
+        power_a=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
+        power_b=dbm_to_mw(draw(st.floats(-10.0, 70.0))),
+    )
+    kinds = draw(st.lists(st.sampled_from(["full", "near", "deficient", "zero"]), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    precoders = []
+    for kind in kinds:
+        sv = rng.uniform(0.3, 1.0, m)
+        if kind == "near":
+            sv[-1] = sv.max() * math.sqrt(10.0 ** rng.uniform(-13.0, -11.0))
+        elif kind == "deficient":
+            sv[rng.integers(1, m) :] = 0.0
+        elif kind == "zero":
+            sv[:] = 0.0
+        p = (_unitary(rng, m) * sv) @ _unitary(rng, m)
+        if kind != "zero":
+            p *= math.sqrt(m * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+        precoders.append(p)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(kinds), cfg.L)))
+    return cfg, np.stack(precoders), phases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mixed_batches())
+def test_mixed_batch_equals_single_calls_bit_for_bit(scenario):
+    # a design's route through the kernel depends on that design alone
+    cfg, precoders, phases = scenario
+    stats = channel_statistics(cfg)
+    batch = closed_form_bits(precoders, phases, stats, cfg.power_b, cfg.noise)
+    single = [
+        closed_form_bits(precoders[k : k + 1], phases[k : k + 1], stats, cfg.power_b, cfg.noise)[0]
+        for k in range(len(precoders))
+    ]
+    np.testing.assert_array_equal(batch, single)
+    for p, theta, bits in zip(precoders, phases, batch):
+        lam = np.linalg.eigvalsh(p.T @ p.conj())
+        # A kept mode within 1e-10 of the strongest amplifies the roundoff of R_z
+        # by the Gram condition number: the dense and the factored R_z alone move
+        # such a design's rate by up to ~3e-5 in either basis, against ~1e-13 for
+        # every other design.
+        ill = _RANK_RTOL * lam[-1] < lam[0] < 1e-10 * lam[-1]
+        want = _reference_bits(p, theta, stats, cfg.power_b, cfg.noise)
+        assert abs(bits - want) <= (1e-4 if ill else 1e-12) * want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    side=st.integers(1, 4),
+    eta=st.floats(0.0, 0.95),
+    power_a_dbm=st.floats(-10.0, 50.0),
+    power_b_dbm=st.floats(-10.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_equals_joint_with_any_unitary_downlink_pilot(m, side, eta, power_a_dbm, power_b_dbm, seed):
+    # y_a = sqrt(p_b) P^T c + P^T n_a and y_b = P^T c + Q^T n_b: a unitary pilot Q
+    # leaves the downlink noise white, so the key rate cannot depend on which one
+    cfg = SystemConfig(
+        M=m, L_h=side, L_v=side, eta=eta,
+        power_a=dbm_to_mw(power_a_dbm), power_b=dbm_to_mw(power_b_dbm),
+    )
+    stats = channel_statistics(cfg)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    p *= math.sqrt(m * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+    theta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L))
+    pilot = _unitary(rng, m)
+    sel = np.kron(np.concatenate([[1.0], theta])[:, None], p)
+    r_z = sel.T @ cascade_covariance(stats) @ sel.conj()
+    cross = math.sqrt(cfg.power_b) * r_z
+    joint = np.block([
+        [cfg.power_b * r_z + cfg.noise * (p.T @ p.conj()), cross],
+        [cross.conj().T, r_z + cfg.noise * (pilot.T @ pilot.conj())],
+    ])
+    want = float(_mi_bits_from_joint(joint))
+    got = closed_form_bits(p[None], theta[None], stats, cfg.power_b, cfg.noise)[0]
+    assert abs(got - want) <= 1e-10 * max(want, 1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import threading
 import time
 
@@ -207,6 +208,67 @@ def test_closed_form_rejects_nonfinite_precoder(small_stats):
                       phases=np.ones(4, dtype=complex))
     with pytest.raises(NumericalError):
         skr_closed_form(bad, small_stats, 10.0, 1e-9)
+
+
+def _direct_only_stats(r_bs):
+    """Statistics whose signal covariance is P^T r_bs P^* exactly (unit direct gain, no surface)."""
+    return ChannelStatistics(R_bs=r_bs, R_irs=np.eye(1), beta_direct=1.0, beta_bs_irs=0.0, beta_irs_ue=1.0)
+
+
+@pytest.mark.parametrize("gains, min_eig", [((1.0,), "-1.000e+00"), ((1.0, 2.0, 0.5), "-4.000e+00")])
+def test_closed_form_rejects_indefinite_signal_covariance(gains, min_eig):
+    # R_bs with eigenvalues 3 and -1, which no channel correlation has; the
+    # message names the smallest eigenvalue over the batch
+    stats = _direct_only_stats(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    precoders = np.stack([g * np.eye(2, dtype=complex) for g in gains])
+    with pytest.raises(NumericalError, match=rf"indefinite \(min eigenvalue {re.escape(min_eig)}\)"):
+        skr.closed_form_bits(precoders, np.ones((len(gains), 1)), stats, 10.0, 1e-9)
+
+
+@pytest.mark.parametrize("min_eig, passes", [(-0.4e-10, True), (-0.9e-10, True), (-1.1e-10, False)])
+def test_closed_form_psd_check_tolerance(min_eig, passes):
+    # -0.4e-10 passes the Cholesky certificate, -0.9e-10 only the eigenvalue
+    # test behind it, and -1.1e-10 lies beyond the 1e-10 roundoff allowance
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    stats = _direct_only_stats(rot @ np.diag([1.0, min_eig]) @ rot.T)
+    call = lambda: skr.closed_form_bits(np.eye(2, dtype=complex)[None], np.ones((1, 1)), stats, 10.0, 1.0)
+    if passes:
+        assert call()[0] >= 0.0
+    else:
+        with pytest.raises(NumericalError, match="indefinite"):
+            call()
+
+
+def test_closed_form_nan_phases_fail_in_the_eigenvalue_check(small_stats, rng):
+    # a NaN covariance factors without a LAPACK error; it must not pass as
+    # positive definite, and fails in the eigenvalue test as it always has
+    designs = [_random_design(2, 4, rng) for _ in range(3)]
+    precoders = np.stack([d.precoder for d in designs])
+    phases = np.stack([d.phases for d in designs])
+    phases[1, 2] = np.nan
+    try:
+        np.linalg.eigvalsh(np.full((2, 2), np.nan))
+        expected = NumericalError  # a LAPACK that returns NaN eigenvalues fails later, in the core
+    except np.linalg.LinAlgError:
+        expected = np.linalg.LinAlgError
+    with pytest.raises(expected):
+        skr.closed_form_bits(precoders, phases, small_stats, 10.0, 1e-9)
+
+
+def test_closed_form_certificates_only_skip_work(rng, monkeypatch):
+    # with both Cholesky certificates failing, every design takes the
+    # eigendecomposition route, and the bits and errors stay the same
+    stats = _direct_only_stats(bs_correlation(0.5, 3))
+    precoders = np.stack([_random_design(3, 1, rng).precoder for _ in range(4)])
+    precoders[1, :, 2] = 0.0
+    precoders[2] = 0.0
+    phases = np.ones((4, 1))
+    fast = skr.closed_form_bits(precoders, phases, stats, 10.0, 1e-9)
+    monkeypatch.setattr(skr, "_is_positive_definite", lambda mat: False)
+    npt.assert_array_equal(skr.closed_form_bits(precoders, phases, stats, 10.0, 1e-9), fast)
+    assert fast[2] == 0.0 and np.all(fast[[0, 1, 3]] > 0.0)
+    with pytest.raises(NumericalError, match="indefinite"):
+        skr.closed_form_bits(precoders, phases, _direct_only_stats(-np.eye(3)), 10.0, 1e-9)
 
 
 def test_closed_form_matches_monte_carlo(small_stats, rng):
