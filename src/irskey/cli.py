@@ -94,12 +94,7 @@ def _cmd_skr(args) -> int:
     else:
         if args.checkpoint is None:
             raise ConfigError("pkg_net method needs --checkpoint")
-        params, _ = neural.load_checkpoint(args.checkpoint)
-        if params.M != system.M or params.L != system.L:
-            raise ConfigError(
-                f"checkpoint sized for M={params.M}, L={params.L}; "
-                f"system has M={system.M}, L={system.L}"
-            )
+        params, _ = neural.load_checkpoint(args.checkpoint, system)
         design = neural.forward(params, system.pos_ue, system)
         bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
     out_dir = _ensure_out(args)

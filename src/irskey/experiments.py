@@ -106,8 +106,8 @@ def _draw_designs(
 
     Each trial consumes ``rng`` as one ``random_design`` call always has: the
     real then the imaginary M x M Gaussian block (one fill of a [2, M, M]
-    slot), then L uniform angles. Scaling onto the budget and the phase
-    exponential run once over all trials.
+    slot), then L uniform angles. Scaling onto the budget, the angles' 2π
+    factor and the phase exponential run once over all trials.
     """
     m, l = config.M, config.L
     try:
@@ -117,7 +117,8 @@ def _draw_designs(
         raise ConfigError(f"{trials} random designs of M={m}, L={l} do not fit in memory") from exc
     for k in range(trials):
         rng.standard_normal(out=normals[k])
-        angles[k] = rng.uniform(0.0, 2.0 * np.pi, l)
+        rng.random(out=angles[k])
+    angles *= 2.0 * np.pi  # uniform(0, 2π) is 0 + 2π·u, bit for bit
     raw = normals[:, 0] + 1j * normals[:, 1]
     raw *= np.sqrt(m * config.power_a / np.sum(np.abs(raw) ** 2, axis=(1, 2)))[:, None, None]
     return raw, np.exp(1j * angles)
@@ -182,7 +183,7 @@ def _pkg_net_bits(
         path = os.path.join(checkpoint_dir, checkpoint_name(cfg))
         if not os.path.isfile(path):
             raise ConfigError(f"missing checkpoint for M={cfg.M}, L={cfg.L}: {path}")
-        params, _ = neural.load_checkpoint(path)
+        params, _ = neural.load_checkpoint(path, cfg)
     else:
         seeded = dataclasses.replace(train_config, seed=_derived_seed(train_config.seed, point_index))
         params, _ = neural.train(seeded, cfg)

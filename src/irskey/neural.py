@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,34 +50,34 @@ HIDDEN = 200
 _EPS_GUARD = 1e-12
 _CHECKPOINT_FORMAT = "irskey-net-1"
 _PACKING = "real-imag-colmajor"
+_HEADER_CAP = 64 * 1024  # bytes; a real header is ~300
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2", "Wp", "bp", "Wt", "bt")
 
 
-@dataclass
 class NetParams:
-    """Weights and biases; heads sized by (M, L) at construction."""
+    """Weights and biases in one flat float64 vector ``vec`` (zeros at construction).
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    Wp: np.ndarray
-    bp: np.ndarray
-    Wt: np.ndarray
-    bt: np.ndarray
+    ``vec`` holds the blocks in PARAM_FIELDS order, each in C order: the
+    checkpoint's blob layout. The fields W1 ... bt are reshaped views of it.
+    Assigning ``vec`` or a field copies into it; M, L and hidden are fixed.
+    """
 
-    @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
+    def __init__(self, M: int, L: int, hidden: int = HIDDEN) -> None:
+        shapes = _param_shapes(M, L, hidden)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        vec = np.zeros(sum(sizes))
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        views = {name: part.reshape(shape) for part, (name, shape) in zip(parts, shapes.items())}
+        self.__dict__.update(views, M=M, L=L, hidden=hidden, vec=vec)
 
-    @property
-    def M(self) -> int:
-        return math.isqrt(self.Wp.shape[0] // 2)
-
-    @property
-    def L(self) -> int:
-        return self.Wt.shape[0] // 2
+    def __setattr__(self, name: str, value) -> None:
+        block = self.__dict__[name] if name in PARAM_FIELDS or name == "vec" else None
+        if block is None:
+            raise AttributeError(f"NetParams.{name} is read-only")
+        if np.shape(value) != block.shape:
+            raise ValueError(f"NetParams.{name} has shape {block.shape}, got {np.shape(value)}")
+        block[...] = value
 
 
 @dataclass(frozen=True)
@@ -123,17 +125,12 @@ def _param_shapes(M: int, L: int, hidden: int) -> dict:
 
 def init_params(M: int, L: int, rng: np.random.Generator, hidden: int = HIDDEN) -> NetParams:
     """Glorot-uniform weights drawn in order W1, W2, Wp, Wt; zero biases."""
-
-    def glorot(out_dim: int, in_dim: int) -> np.ndarray:
+    params = NetParams(M, L, hidden)
+    for weights in (params.W1, params.W2, params.Wp, params.Wt):
+        out_dim, in_dim = weights.shape
         limit = math.sqrt(6.0 / (in_dim + out_dim))
-        return rng.uniform(-limit, limit, (out_dim, in_dim))
-
-    return NetParams(
-        **{
-            name: glorot(*shape) if name.startswith("W") else np.zeros(shape)
-            for name, shape in _param_shapes(M, L, hidden).items()
-        }
-    )
+        weights[...] = rng.uniform(-limit, limit, (out_dim, in_dim))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
 
 
 def _zero_grads(params: NetParams) -> NetParams:
-    return NetParams(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS})
+    return NetParams(params.M, params.L, params.hidden)
 
 
 def _loss_and_grad(
@@ -271,22 +268,21 @@ def _loss_and_grad(
     g_raw_cm = g_raw.swapaxes(1, 2).reshape(k, m * m)  # column-major flatten per sample
     g_pprime = np.concatenate([2.0 * g_raw_cm.real, 2.0 * g_raw_cm.imag], axis=1)
 
-    # back through the MLP
+    # back through the MLP, into the blocks of one flat gradient vector
     locations_arr, a1, h1, a2, h2, _, _ = cache
-    d_wp = g_pprime.T @ h2
-    d_bp = g_pprime.sum(axis=0)
-    d_wt = g_tprime.T @ h2
-    d_bt = g_tprime.sum(axis=0)
+    grads = _zero_grads(params)
+    np.matmul(g_pprime.T, h2, out=grads.Wp)
+    g_pprime.sum(axis=0, out=grads.bp)
+    np.matmul(g_tprime.T, h2, out=grads.Wt)
+    g_tprime.sum(axis=0, out=grads.bt)
     d_h2 = g_pprime @ params.Wp + g_tprime @ params.Wt
     d_a2 = d_h2 * (a2 > 0.0)
-    d_w2 = d_a2.T @ h1
-    d_b2 = d_a2.sum(axis=0)
+    np.matmul(d_a2.T, h1, out=grads.W2)
+    d_a2.sum(axis=0, out=grads.b2)
     d_h1 = d_a2 @ params.W2
     d_a1 = d_h1 * (a1 > 0.0)
-    d_w1 = d_a1.T @ locations_arr
-    d_b1 = d_a1.sum(axis=0)
-
-    grads = NetParams(W1=d_w1, b1=d_b1, W2=d_w2, b2=d_b2, Wp=d_wp, bp=d_bp, Wt=d_wt, bt=d_bt)
+    np.matmul(d_a1.T, locations_arr, out=grads.W1)
+    d_a1.sum(axis=0, out=grads.b1)
     return loss_bits, grads
 
 
@@ -320,27 +316,31 @@ def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):
 # training
 
 
-@dataclass
 class _AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
+    def __init__(self, size: int) -> None:
+        self.m, self.v, self.scratch, self.denom = (np.zeros(size) for _ in range(4))
+        self.t = 0
 
 
 def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: TrainConfig) -> None:
+    """In-place Adam on the flat vectors; each weight moves by lr·(m/c1) / (√(v/c2) + eps)."""
     state.t += 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for name in PARAM_FIELDS:
-        g = getattr(grads, name)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g**2
-        step = cfg.learning_rate * (state.m[name] / corr1) / (np.sqrt(state.v[name] / corr2) + eps)
-        getattr(params, name)[...] -= step
+    g, m, v, step, denom = grads.vec, state.m, state.v, state.scratch, state.denom
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    np.square(g, out=step)
+    v += np.multiply(step, 1.0 - b2, out=step)
+    np.divide(m, corr1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, corr2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    np.subtract(params.vec, step, out=params.vec)
 
 
 def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
@@ -384,7 +384,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     stats = channel_statistics(system)
     rng = np.random.default_rng(train_config.seed)
     params = init_params(system.M, system.L, rng)
-    state = _AdamState()
+    state = _AdamState(params.vec.size)
     fixed_set = None
     if not train_config.fresh_samples:
         fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
@@ -422,7 +422,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
 
 
 def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> None:
-    """Write a one-line JSON header plus little-endian float64 parameter blocks."""
+    """Write a one-line JSON header, then ``params.vec`` as little-endian float64 in one call."""
     meta = {
         "format": _CHECKPOINT_FORMAT,
         "M": params.M,
@@ -436,65 +436,69 @@ def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> No
     header = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for name in PARAM_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+        fh.write(params.vec.astype("<f8", copy=False))
 
 
-def load_checkpoint(path: str):
+def load_checkpoint(path: str, system: SystemConfig | None = None):
     """Inverse of save_checkpoint; returns (params, metadata dict).
 
     Every way a file can fail to be a checkpoint written by save_checkpoint
-    (bad header, header sizes that disagree with the block shapes, a blob
-    shorter or longer than those shapes, non-finite weights) raises
-    ConfigError; only failing to read the file raises OSError.
+    raises ConfigError: a bad header or one past 64 KiB, header sizes that
+    disagree with the block shapes or (when given) with ``system``'s M and L,
+    a blob shorter or longer than those shapes, non-finite weights. All but
+    the last are checked before allocating ``params.vec``, which the blob is
+    read into in one call. Only failing to read the file raises OSError.
     """
     with open(path, "rb") as fh:
-        header = fh.readline()
-        blob = fh.read()
-    try:
-        meta = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"not a checkpoint file: {path}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"not a checkpoint file: {path}")
-    if meta.get("format") != _CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format in {path}: {meta.get('format')!r}")
-    sizes = [meta.get(key) for key in ("M", "L", "hidden")]
-    if not all(type(n) is int and n >= 1 for n in sizes):
-        raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
-    shapes = _param_shapes(*sizes)
-    if meta.get("fields") != list(shapes) or meta.get("shapes") != {
-        name: list(shape) for name, shape in shapes.items()
-    }:
-        raise ConfigError(
-            f"checkpoint {path}: block shapes do not match M={sizes[0]}, L={sizes[1]}, "
-            f"hidden={sizes[2]}"
-        )
-    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(blob) != expected:
-        kind = "truncated" if len(blob) < expected else "followed by trailing bytes"
-        raise ConfigError(f"checkpoint {path} is {kind}: {len(blob)} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f8").astype(float)
-    if not np.isfinite(values).all():
+        header = fh.readline(_HEADER_CAP + 1)
+        if len(header) > _HEADER_CAP:
+            raise ConfigError(f"not a checkpoint file: {path} (no header line in {_HEADER_CAP} bytes)")
+        try:
+            meta = json.loads(header.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"not a checkpoint file: {path}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"not a checkpoint file: {path}")
+        if meta.get("format") != _CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format in {path}: {meta.get('format')!r}")
+        sizes = [meta.get(key) for key in ("M", "L", "hidden")]
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
+        shapes = _param_shapes(*sizes)
+        if meta.get("fields") != list(shapes) or meta.get("shapes") != {
+            name: list(shape) for name, shape in shapes.items()
+        }:
+            raise ConfigError(
+                f"checkpoint {path}: block shapes do not match M={sizes[0]}, L={sizes[1]}, "
+                f"hidden={sizes[2]}"
+            )
+        if system is not None and sizes[:2] != [system.M, system.L]:
+            raise ConfigError(
+                f"checkpoint sized for M={sizes[0]}, L={sizes[1]}; "
+                f"system has M={system.M}, L={system.L}: {path}"
+            )
+        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available == expected:
+            params = NetParams(*sizes)
+            available = fh.readinto(params.vec)
+        if available != expected:
+            kind = "truncated" if available < expected else "followed by trailing bytes"
+            raise ConfigError(f"checkpoint {path} is {kind}: {available} bytes, expected {expected}")
+    if sys.byteorder == "big":
+        params.vec.byteswap(inplace=True)
+    if not np.isfinite(params.vec).all():
         raise ConfigError(f"checkpoint {path} holds non-finite weights")
-    arrays = {}
-    offset = 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        arrays[name] = values[offset : offset + count].reshape(shape)
-        offset += count
-    return NetParams(**arrays), meta
+    return params, meta
 
 
 def params_to_vector(params: NetParams) -> np.ndarray:
-    return np.concatenate([getattr(params, name).ravel() for name in PARAM_FIELDS])
+    """A copy of ``params.vec``."""
+    return params.vec.copy()
 
 
 def vector_to_params(vec: np.ndarray, template: NetParams) -> NetParams:
-    arrays = {}
-    offset = 0
-    for name in PARAM_FIELDS:
-        ref = getattr(template, name)
-        arrays[name] = vec[offset : offset + ref.size].reshape(ref.shape).copy()
-        offset += ref.size
-    return NetParams(**arrays)
+    """New NetParams sized like ``template`` holding a copy of ``vec``."""
+    params = NetParams(template.M, template.L, template.hidden)
+    params.vec[...] = vec
+    return params

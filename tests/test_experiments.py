@@ -524,6 +524,25 @@ def test_cli_train_and_infer_roundtrip(tmp_path):
                      "--checkpoint", str(ckpt), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("verb", ["skr", "sweep"])
+def test_cli_checkpoint_sized_for_another_system_is_a_config_error(tmp_path, capsys, verb):
+    # sweeps once fed such a file to the forward pass and died with a numpy ValueError
+    from irskey import neural
+
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    ckpt = ckpt_dir / "pkgnet_M8_L16.ckpt"
+    neural.save_checkpoint(str(ckpt), neural.init_params(4, 25, np.random.default_rng(0)), seed=0)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[system]\nm = 8\nl_h = 4\nl_v = 4\n\n[sweep]\nvariable = l\nvalues = 16\nmethods = pkg_net\n")
+    argv = ["sweep", "--checkpoints", str(ckpt_dir)]
+    if verb == "skr":
+        argv = ["skr", "--method", "pkg_net", "--checkpoint", str(ckpt)]
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint sized for M=4, L=25; system has M=8, L=16" in err and "Traceback" not in err
+
+
 def test_cli_train_seed_flag_overrides_config(tmp_path):
     cfg = _write_cli_config(tmp_path)
     out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))

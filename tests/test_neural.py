@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -337,6 +338,52 @@ def test_train_non_finite_step_leaves_weights_alone(monkeypatch):
     assert history == [math.inf]
 
 
+def _reference_adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig) -> None:
+    # the per-field update the flat in-place pass must reproduce bit for bit
+    state["t"] += 1
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    corr1 = 1.0 - b1 ** state["t"]
+    corr2 = 1.0 - b2 ** state["t"]
+    for name in PARAM_FIELDS:
+        g = grads[name]
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(g)
+            state["v"][name] = np.zeros_like(g)
+        state["m"][name] = b1 * state["m"][name] + (1.0 - b1) * g
+        state["v"][name] = b2 * state["v"][name] + (1.0 - b2) * g**2
+        step = cfg.learning_rate * (state["m"][name] / corr1) / (np.sqrt(state["v"][name] / corr2) + eps)
+        params[name][...] -= step
+
+
+def test_train_flat_adam_matches_per_field_reference(monkeypatch):
+    system = _small_system()
+    cfg = TrainConfig(epochs=1, samples_per_epoch=50, batch_size=1, seed=3, learning_rate=0.01)
+    template = init_params(system.M, system.L, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(99)
+    n = template.vec.size
+    grad_vectors = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n) for _ in range(50)]
+    skipped = 17
+    steps = iter(range(50))
+
+    def scripted(params, locations, system_cfg, stats, want_grad):
+        k = next(steps)
+        if k == skipped:
+            return math.inf, neural._zero_grads(params)
+        return 1.0, vector_to_params(grad_vectors[k], params)
+
+    monkeypatch.setattr(neural, "_loss_and_grad", scripted)
+    params, _ = train(cfg, system)
+
+    ref = {name: getattr(template, name).copy() for name in PARAM_FIELDS}
+    state = {"m": {}, "v": {}, "t": 0}
+    for k, gvec in enumerate(grad_vectors):
+        if k != skipped:
+            grads = vector_to_params(gvec, template)
+            _reference_adam_step(ref, {name: getattr(grads, name) for name in PARAM_FIELDS}, state, cfg)
+    want = np.concatenate([ref[name].ravel() for name in PARAM_FIELDS])
+    assert np.array_equal(params_to_vector(params), want)
+
+
 def test_train_rejects_region_near_the_surface_before_any_step(monkeypatch):
     def never(*args):
         raise AssertionError("training took a step")
@@ -414,6 +461,70 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # M=1, L=1, hidden=2: blocks W1 (2x3), b1, W2 (2x2), b2, Wp (2x2), bp, Wt (2x2), bt
+    params = neural.NetParams(1, 1, hidden=2)
+    params.W1 = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    params.b1 = [7.0, 8.0]
+    params.W2 = [[9.0, 10.0], [11.0, 12.0]]
+    params.b2 = [13.0, 14.0]
+    params.Wp = [[15.0, 16.0], [17.0, 18.0]]
+    params.bp = [19.0, 20.0]
+    params.Wt = [[21.0, 22.0], [23.0, 24.0]]
+    params.bt = [25.0, -0.5]
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(str(path), params, seed=5)
+    header = (
+        b'{"L":1,"M":1,"fields":["W1","b1","W2","b2","Wp","bp","Wt","bt"],"format":"irskey-net-1",'
+        b'"hidden":2,"packing":"real-imag-colmajor","seed":5,"shapes":{"W1":[2,3],"W2":[2,2],'
+        b'"Wp":[2,2],"Wt":[2,2],"b1":[2],"b2":[2],"bp":[2],"bt":[2]}}\n'
+    )
+    assert path.read_bytes() == header + struct.pack("<26d", *range(1, 26), -0.5)
+    loaded, _ = load_checkpoint(str(path))
+    npt.assert_array_equal(loaded.vec, params.vec)
+    npt.assert_array_equal(loaded.Wt, [[21.0, 22.0], [23.0, 24.0]])
+
+
+def _assert_flat_backed(params):
+    vec = params.vec
+    assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
+    offset = 0
+    for name in PARAM_FIELDS:
+        block = getattr(params, name)
+        assert np.shares_memory(block, vec)
+        assert block.__array_interface__["data"][0] == vec.__array_interface__["data"][0] + 8 * offset
+        offset += block.size
+    assert offset == vec.size
+
+
+def test_loaded_initialised_and_gradient_params_are_views_of_one_vector(tmp_path, rng):
+    system = _small_system()
+    params = init_params(system.M, system.L, rng)
+    _assert_flat_backed(params)
+    _assert_flat_backed(gradient(params, [(10.0, 10.0, 0.0), (8.0, 12.0, 0.0)], system))
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), params)
+    loaded, _ = load_checkpoint(str(path))
+    _assert_flat_backed(loaded)
+    params.bt = np.ones_like(params.bt)  # assignment writes through to the vector
+    npt.assert_array_equal(params.vec[-params.bt.size :], 1.0)
+    with pytest.raises(ValueError):
+        params.bt = np.ones(params.bt.size + 1)
+    with pytest.raises(AttributeError):
+        params.M = 3
+    _assert_flat_backed(params)
+
+
+def test_params_to_vector_and_vector_to_params_copy(rng):
+    params = init_params(2, 4, rng)
+    before = params.vec.copy()
+    vec = params_to_vector(params)
+    back = vector_to_params(vec, params)
+    vec[:] = 0.0
+    npt.assert_array_equal(params.vec, before)
+    npt.assert_array_equal(back.vec, before)
+
+
 def test_load_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"\x00\x01\x02 not a checkpoint\n")
@@ -457,6 +568,29 @@ def test_load_checkpoint_rejects_header_sizes_disagreeing_with_blocks(tmp_path, 
         path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
+
+
+def test_load_checkpoint_caps_the_header_line(tmp_path):
+    path = tmp_path / "no_newline.ckpt"
+    path.write_bytes(b"{" * (neural._HEADER_CAP + 1))
+    with pytest.raises(ConfigError, match="header line"):
+        load_checkpoint(str(path))
+
+
+def test_huge_header_sizes_over_a_small_blob_fail_before_allocation(tmp_path, capsys):
+    from irskey import cli
+
+    shapes = {name: list(shape) for name, shape in neural._param_shapes(4, 25, 10**9).items()}
+    meta = {"format": "irskey-net-1", "M": 4, "L": 25, "hidden": 10**9, "packing": "real-imag-colmajor",
+            "seed": 0, "fields": list(PARAM_FIELDS), "shapes": shapes}
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + bytes(64))
+    with pytest.raises(ConfigError, match="truncated"):
+        load_checkpoint(str(path))
+    argv = ["skr", "--method", "pkg_net", "--checkpoint", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "truncated" in err and "MemoryError" not in err
 
 
 def test_load_checkpoint_rejects_non_finite_weights(tmp_path, rng):
