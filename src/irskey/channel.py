@@ -44,6 +44,20 @@ def mw_to_dbm(x_mw: float) -> float:
     return 10.0 * math.log10(x_mw)
 
 
+def _finite(value) -> bool:
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return all(map(_finite, value))
+    return isinstance(value, int) or math.isfinite(value)  # ints are exact, and may exceed the float range
+
+
+def _require_finite(config) -> None:
+    """ConfigError naming the first field of the dataclass ``config`` that holds a NaN or an infinity."""
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if not _finite(value):
+            raise ConfigError(f"{item.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static description of one key-generation setup.
@@ -70,10 +84,7 @@ class SystemConfig:
     alpha_irs_ue: float = 2.0
 
     def __post_init__(self) -> None:
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if not np.all(np.isfinite(value)):
-                raise ConfigError(f"{item.name} must be finite, got {value}")
+        _require_finite(self)
         if self.M < 1:
             raise ConfigError(f"antenna count must be >= 1, got {self.M}")
         if self.L_h < 1 or self.L_v < 1:
@@ -91,6 +102,27 @@ class SystemConfig:
     @property
     def L(self) -> int:
         return self.L_h * self.L_v
+
+
+# INI key -> (SystemConfig field, caster); powers are dBm in the file, mW in the field.
+_SYSTEM_KEYS = {
+    "m": ("M", int),
+    "l_h": ("L_h", int),
+    "l_v": ("L_v", int),
+    "spacing_wl": ("spacing_wl", float),
+    "eta": ("eta", float),
+    "pos_bs_m": ("pos_bs", lambda s: _numbers(s, 3)),
+    "pos_irs_m": ("pos_irs", lambda s: _numbers(s, 3)),
+    "pos_ue_m": ("pos_ue", lambda s: _numbers(s, 3)),
+    "power_a_dbm": ("power_a", lambda s: dbm_to_mw(float(s))),
+    "power_b_dbm": ("power_b", lambda s: dbm_to_mw(float(s))),
+    "noise_dbm": ("noise", lambda s: dbm_to_mw(float(s))),
+    "ref_loss_db": ("ref_loss_db", float),
+    "ref_dist_m": ("ref_dist", float),
+    "alpha_direct": ("alpha_direct", float),
+    "alpha_bs_irs": ("alpha_bs_irs", float),
+    "alpha_irs_ue": ("alpha_irs_ue", float),
+}
 
 
 def irs_correlation(L_h: int, L_v: int, spacing_wl: float = 0.5) -> np.ndarray:
@@ -299,15 +331,12 @@ def sample_batch(stats: ChannelStatistics, n: int, rng: np.random.Generator) -> 
     return h, G, f
 
 
-def _parse_position(raw: str, key: str) -> tuple[float, float, float]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigError(f"{key} must hold three coordinates, got {raw!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key} has a non-numeric coordinate: {raw!r}") from exc
-    return (x, y, z)
+def _numbers(raw: str, count: int | None = None) -> tuple[float, ...]:
+    """The floats of a comma- or space-separated list; ValueError unless there are ``count`` of them."""
+    values = tuple(float(p) for p in raw.replace(",", " ").split())
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} numbers, got {len(values)}")
+    return values
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
@@ -321,38 +350,27 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return parser
 
 
-_SYSTEM_KEYS = {
-    "m": ("M", int),
-    "l_h": ("L_h", int),
-    "l_v": ("L_v", int),
-    "spacing_wl": ("spacing_wl", float),
-    "eta": ("eta", float),
-    "pos_bs_m": ("pos_bs", lambda s: _parse_position(s, "pos_bs_m")),
-    "pos_irs_m": ("pos_irs", lambda s: _parse_position(s, "pos_irs_m")),
-    "pos_ue_m": ("pos_ue", lambda s: _parse_position(s, "pos_ue_m")),
-    "power_a_dbm": ("power_a", lambda s: dbm_to_mw(float(s))),
-    "power_b_dbm": ("power_b", lambda s: dbm_to_mw(float(s))),
-    "noise_dbm": ("noise", lambda s: dbm_to_mw(float(s))),
-    "ref_loss_db": ("ref_loss_db", float),
-    "ref_dist_m": ("ref_dist", float),
-    "alpha_direct": ("alpha_direct", float),
-    "alpha_bs_irs": ("alpha_bs_irs", float),
-    "alpha_irs_ue": ("alpha_irs_ue", float),
-}
+def _parse_section(parser: configparser.ConfigParser, name: str, keys: dict) -> dict:
+    """Dataclass keyword arguments from section ``name``; empty when the section is absent.
 
-
-def _parse_system_section(section) -> SystemConfig:
-    kwargs: dict = {}
-    for key, (dest, caster) in _SYSTEM_KEYS.items():
-        if key in section:
-            try:
-                kwargs[dest] = caster(section[key])
-            except (ValueError, OverflowError) as exc:  # 10**(dBm/10) overflows past ~3080 dBm
-                raise ConfigError(f"bad value for system.{key}: {section[key]!r}") from exc
-    unknown = set(section) - set(_SYSTEM_KEYS)
+    ``keys`` maps each accepted INI key to (field, caster). An unknown key, or
+    a value its caster rejects, is a ConfigError naming ``<name>.<key>``.
+    """
+    if not parser.has_section(name):
+        return {}
+    section = parser[name]
+    unknown = set(section) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown keys in [system]: {sorted(unknown)}")
-    return SystemConfig(**kwargs)
+        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+    kwargs = {}
+    for key in section:
+        field, caster = keys[key]
+        try:
+            kwargs[field] = caster(section[key])
+        # KeyError: an unknown word; OverflowError: dBm past ~3080; configparser.Error: bad %-interpolation
+        except (ValueError, KeyError, OverflowError, configparser.Error) as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {parser.get(name, key, raw=True)!r}") from exc
+    return kwargs
 
 
 def load_system_config(path: str) -> SystemConfig:
@@ -362,5 +380,4 @@ def load_system_config(path: str) -> SystemConfig:
     ``noise_dbm``) and converted to linear mW. Missing keys fall back to the
     dataclass defaults.
     """
-    parser = _read_ini(path)
-    return _parse_system_section(parser["system"]) if parser.has_section("system") else SystemConfig()
+    return SystemConfig(**_parse_section(_read_ini(path), "system", _SYSTEM_KEYS))

@@ -65,9 +65,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[SystemConfig, neural.TrainConfig, experiments.SweepSpec | None]:
+    """The config file's three sections (defaults without ``--config``), with ``--seed`` applied."""
     if args.config is None:
-        return SystemConfig(), neural.TrainConfig(), None
-    return experiments.load_experiment_config(args.config)
+        system, train_cfg, spec = SystemConfig(), neural.TrainConfig(), None
+    else:
+        system, train_cfg, spec = experiments.load_experiment_config(args.config)
+    if args.seed is not None:
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+        spec = spec if spec is None else dataclasses.replace(spec, seed=args.seed)
+    return system, train_cfg, spec
 
 
 def _ensure_out(args) -> str:
@@ -81,22 +87,15 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_skr(args) -> int:
-    system, train_cfg, _ = _load(args)
+    system, _, _ = _load(args)
     stats = channel_statistics(system)
-    std_error = None
-    if args.method == "baseline":
-        design = baseline_design(system, stats)
-        bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
-    elif args.method == "random":
-        bits, std_error = experiments.random_design_bits(
-            system, stats, np.random.default_rng(args.seed or 0), args.trials
-        )
-    else:
+    params = None
+    if args.method == "pkg_net":
         if args.checkpoint is None:
             raise ConfigError("pkg_net method needs --checkpoint")
         params, _ = neural.load_checkpoint(args.checkpoint, system)
-        design = neural.forward(params, system.pos_ue, system)
-        bits = skr_closed_form(design, stats, system.power_b, system.noise).bits
+    rng = np.random.default_rng(args.seed or 0)
+    bits, std_error = experiments._method_bits(args.method, system, stats, rng, args.trials, params)
     out_dir = _ensure_out(args)
     payload = {
         "method": args.method,
@@ -135,8 +134,6 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_train(args) -> int:
     system, train_cfg, _ = _load(args)
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     out_dir = _ensure_out(args)
     history_rows = []
 
@@ -160,9 +157,6 @@ def _cmd_sweep(args) -> int:
     system, train_cfg, spec = _load(args)
     if spec is None:
         raise ConfigError("sweep needs a config file with a [sweep] section")
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     result = experiments.run_sweep(spec, system, train_cfg, checkpoint_dir=args.checkpoints)
     out_dir = _ensure_out(args)
     csv_path = os.path.join(out_dir, "sweep.csv")

@@ -15,9 +15,11 @@ from . import neural
 from ._blas import single_blas_thread
 from .baseline import baseline_design
 from .channel import (
+    _SYSTEM_KEYS,
     ChannelStatistics,
     SystemConfig,
-    _parse_system_section,
+    _numbers,
+    _parse_section,
     _read_ini,
     channel_statistics,
     dbm_to_mw,
@@ -60,7 +62,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
-            raise ConfigError(f"unknown sweep variable {self.variable!r}; pick from {VARIABLES}")
+            raise ConfigError(f"unknown sweep.variable {self.variable!r}; pick from {VARIABLES}")
         if len(self.values) == 0:
             raise ConfigError("sweep values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -78,11 +80,21 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one method")
         for method in self.methods:
             if method not in METHODS:
-                raise ConfigError(f"unknown method {method!r}; pick from {METHODS}")
+                raise ConfigError(f"unknown sweep.methods entry {method!r}; pick from {METHODS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"sweep seed must be >= 0, got {self.seed}")
+
+
+# INI key -> (SweepSpec field, caster); variable and values are required
+_SWEEP_KEYS = {
+    "variable": ("variable", lambda s: s.strip().lower()),
+    "values": ("values", _numbers),
+    "methods": ("methods", lambda s: tuple(s.replace(",", " ").split())),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+}
 
 
 @dataclass(frozen=True)
@@ -168,58 +180,46 @@ def checkpoint_name(config: SystemConfig) -> str:
     return f"pkgnet_M{config.M}_L{config.L}.ckpt"
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
-def _pkg_net_bits(
-    cfg: SystemConfig,
-    stats,
-    point_index: int,
-    train_config: neural.TrainConfig,
-    checkpoint_dir: str | None,
-) -> float:
+def _pkg_net_params(
+    cfg: SystemConfig, point_index: int, train_config: neural.TrainConfig, checkpoint_dir: str | None
+) -> neural.NetParams:
+    """The point's network: loaded from ``checkpoint_dir`` when given, else trained on a derived seed."""
     if checkpoint_dir is not None:
         path = os.path.join(checkpoint_dir, checkpoint_name(cfg))
         if not os.path.isfile(path):
             raise ConfigError(f"missing checkpoint for M={cfg.M}, L={cfg.L}: {path}")
-        params, _ = neural.load_checkpoint(path, cfg)
-    else:
-        seeded = dataclasses.replace(train_config, seed=_derived_seed(train_config.seed, point_index))
-        params, _ = neural.train(seeded, cfg)
-    design = neural.forward(params, cfg.pos_ue, cfg)
-    return skr_closed_form(design, stats, cfg.power_b, cfg.noise).bits
+        return neural.load_checkpoint(path, cfg)[0]
+    seed = int(np.random.SeedSequence((train_config.seed, point_index)).generate_state(1)[0])
+    return neural.train(dataclasses.replace(train_config, seed=seed), cfg)[0]
+
+
+def _method_bits(
+    method: str, config: SystemConfig, stats: ChannelStatistics, rng, trials: int, params
+) -> tuple[float, float | None]:
+    """Closed-form SKR of ``method``'s design, and its standard error (random only).
+
+    ``rng`` and ``trials`` serve the random method, ``params`` the pkg_net
+    method; the baseline method uses neither.
+    """
+    if method == "random":
+        return random_design_bits(config, stats, rng, trials)
+    if method == "baseline":
+        design = baseline_design(config, stats)
+    else:  # pkg_net
+        design = neural.forward(params, config.pos_ue, config)
+    return skr_closed_form(design, stats, config.power_b, config.noise).bits, None
 
 
 def _evaluate_point(
-    spec: SweepSpec,
-    cfg: SystemConfig,
-    index: int,
-    train_config: neural.TrainConfig,
-    checkpoint_dir: str | None,
+    spec: SweepSpec, cfg: SystemConfig, index: int, train_config: neural.TrainConfig, checkpoint_dir: str | None
 ) -> list:
-    value = spec.values[index]
     stats = channel_statistics(cfg)
     rows = []
     for method in spec.methods:
-        std_error = None
-        if method == "baseline":
-            design = baseline_design(cfg, stats)
-            bits = skr_closed_form(design, stats, cfg.power_b, cfg.noise).bits
-        elif method == "random":
-            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-            bits, std_error = random_design_bits(cfg, stats, rng, spec.trials)
-        else:  # pkg_net
-            bits = _pkg_net_bits(cfg, stats, index, train_config, checkpoint_dir)
-        rows.append(
-            SweepRow(
-                variable=spec.variable,
-                value=value,
-                method=method,
-                skr_bits=bits,
-                std_error=std_error,
-            )
-        )
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index))) if method == "random" else None
+        params = _pkg_net_params(cfg, index, train_config, checkpoint_dir) if method == "pkg_net" else None
+        bits, std_error = _method_bits(method, cfg, stats, rng, spec.trials, params)
+        rows.append(SweepRow(spec.variable, spec.values[index], method, bits, std_error))
     return rows
 
 
@@ -358,76 +358,6 @@ def write_plot_script(result: SweepResult, path: str) -> None:
         raise OSError(f"cannot write plot script to {path}: {exc}") from exc
 
 
-_TRAIN_KEYS = {
-    "epochs": int,
-    "samples_per_epoch": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "seed": int,
-}
-
-
-def _parse_train_section(section) -> neural.TrainConfig:
-    kwargs: dict = {}
-    for key, caster in _TRAIN_KEYS.items():
-        if key in section:
-            try:
-                kwargs[key] = caster(section[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for train.{key}: {section[key]!r}") from exc
-    if "ue_region" in section:
-        parts = [p for p in section["ue_region"].replace(",", " ").split() if p]
-        if len(parts) != 4:
-            raise ConfigError("train.ue_region must be 'x_lo, x_hi, y_lo, y_hi'")
-        try:
-            x_lo, x_hi, y_lo, y_hi = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad train.ue_region: {section['ue_region']!r}") from exc
-        kwargs["ue_region"] = ((x_lo, x_hi), (y_lo, y_hi))
-    if "fresh_samples" in section:
-        raw = section["fresh_samples"].strip().lower()
-        if raw not in ("true", "false", "1", "0", "yes", "no"):
-            raise ConfigError(f"bad boolean for train.fresh_samples: {section['fresh_samples']!r}")
-        kwargs["fresh_samples"] = raw in ("true", "1", "yes")
-    unknown = set(section) - set(_TRAIN_KEYS) - {"ue_region", "fresh_samples"}
-    if unknown:
-        raise ConfigError(f"unknown keys in [train]: {sorted(unknown)}")
-    return neural.TrainConfig(**kwargs)
-
-
-def _parse_sweep_section(section) -> SweepSpec:
-    if "variable" not in section or "values" not in section:
-        raise ConfigError("[sweep] requires 'variable' and 'values'")
-    try:
-        values = tuple(
-            float(p) for p in section["values"].replace(",", " ").split() if p
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep.values: {section['values']!r}") from exc
-    kwargs: dict = {"variable": section["variable"].strip().lower(), "values": values}
-    if "methods" in section:
-        kwargs["methods"] = tuple(
-            p for p in section["methods"].replace(",", " ").split() if p
-        )
-    if "trials" in section:
-        try:
-            kwargs["trials"] = int(section["trials"])
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep.trials: {section['trials']!r}") from exc
-    if "seed" in section:
-        try:
-            kwargs["seed"] = int(section["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep.seed: {section['seed']!r}") from exc
-    unknown = set(section) - {"variable", "values", "methods", "trials", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown keys in [sweep]: {sorted(unknown)}")
-    return SweepSpec(**kwargs)
-
-
 def load_experiment_config(path: str):
     """Parse [system], [train], [sweep] sections; missing sections give defaults.
 
@@ -437,9 +367,11 @@ def load_experiment_config(path: str):
     extra = set(parser.sections()) - {"system", "train", "sweep"}
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
-    system = _parse_system_section(parser["system"]) if parser.has_section("system") else SystemConfig()
-    train_cfg = (
-        _parse_train_section(parser["train"]) if parser.has_section("train") else neural.TrainConfig()
-    )
-    sweep = _parse_sweep_section(parser["sweep"]) if parser.has_section("sweep") else None
-    return system, train_cfg, sweep
+    system = SystemConfig(**_parse_section(parser, "system", _SYSTEM_KEYS))
+    train_cfg = neural.TrainConfig(**_parse_section(parser, "train", neural._TRAIN_KEYS))
+    if not parser.has_section("sweep"):
+        return system, train_cfg, None
+    sweep = _parse_section(parser, "sweep", _SWEEP_KEYS)
+    if "variable" not in sweep or "values" not in sweep:
+        raise ConfigError("[sweep] requires 'variable' and 'values'")
+    return system, train_cfg, SweepSpec(**sweep)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_blas_thread
-from .channel import ChannelStatistics, SystemConfig, channel_statistics, link_gains
+from .channel import ChannelStatistics, SystemConfig, _numbers, _require_finite, channel_statistics, link_gains
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign
 from .skr import _LN2, _gaussian_mi, _hermitian_part
@@ -94,19 +94,44 @@ class TrainConfig:
     fresh_samples: bool = True  # fresh UE draws each epoch; else fixed set reshuffled
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.epochs < 1 or self.samples_per_epoch < 1 or self.batch_size < 1:
             raise ConfigError("epochs, samples_per_epoch, batch_size must be >= 1")
         if self.samples_per_epoch % self.batch_size != 0:
             raise ConfigError(
                 f"batch_size {self.batch_size} must divide samples_per_epoch {self.samples_per_epoch}"
             )
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning rate must be positive")
+        if self.learning_rate <= 0.0 or self.adam_eps <= 0.0:
+            raise ConfigError("learning_rate and adam_eps must be positive")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError(f"adam betas must lie in [0, 1), got {self.adam_beta1}, {self.adam_beta2}")
         if self.seed < 0:
             raise ConfigError(f"training seed must be >= 0, got {self.seed}")
         (x_lo, x_hi), (y_lo, y_hi) = self.ue_region
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ConfigError("ue_region must span a nonempty rectangle")
+
+
+def _region(raw: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    x_lo, x_hi, y_lo, y_hi = _numbers(raw, 4)
+    return ((x_lo, x_hi), (y_lo, y_hi))
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# INI key -> (TrainConfig field, caster)
+_TRAIN_KEYS = {
+    "epochs": ("epochs", int),
+    "samples_per_epoch": ("samples_per_epoch", int),
+    "batch_size": ("batch_size", int),
+    "learning_rate": ("learning_rate", float),
+    "adam_beta1": ("adam_beta1", float),
+    "adam_beta2": ("adam_beta2", float),
+    "adam_eps": ("adam_eps", float),
+    "ue_region": ("ue_region", _region),  # x_lo, x_hi, y_lo, y_hi
+    "seed": ("seed", int),
+    "fresh_samples": ("fresh_samples", lambda s: _BOOLEANS[s.strip().lower()]),
+}
 
 
 def _param_shapes(M: int, L: int, hidden: int) -> dict:

@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +32,7 @@ from irskey import (
     write_csv,
     write_plot_script,
 )
-from irskey import _blas, cli, experiments
+from irskey import _blas, channel, cli, experiments, neural
 from irskey.errors import NumericalError
 from irskey.experiments import _draw_designs, random_design_bits
 
@@ -217,7 +219,6 @@ def test_run_sweep_pool_runs_blas_on_one_thread_and_restores_it(monkeypatch):
 
 
 def test_run_sweep_uses_checkpoints_when_given(tmp_path):
-    from irskey import neural
     from irskey.experiments import checkpoint_name
 
     system = _tiny_system()
@@ -379,6 +380,107 @@ def test_load_experiment_config_rejects_bad_train_values(tmp_path):
         load_experiment_config(str(path))
 
 
+_TABLES = {
+    "system": channel._SYSTEM_KEYS,
+    "train": neural._TRAIN_KEYS,
+    "sweep": experiments._SWEEP_KEYS,
+}
+
+# Every accepted key: a raw INI value, the field it must land in, and the value
+# it must land as; none equals the field's default. The field names are
+# spelled out here, apart from the tables, so that a swapped entry fails.
+_NON_DEFAULT = {
+    "system": {
+        "m": ("3", "M", 3),
+        "l_h": ("2", "L_h", 2),
+        "l_v": ("3", "L_v", 3),
+        "spacing_wl": ("0.25", "spacing_wl", 0.25),
+        "eta": ("0.5", "eta", 0.5),
+        "pos_bs_m": ("6, -30 1", "pos_bs", (6.0, -30.0, 1.0)),
+        "pos_irs_m": ("1 0 2", "pos_irs", (1.0, 0.0, 2.0)),
+        "pos_ue_m": ("11,9,0", "pos_ue", (11.0, 9.0, 0.0)),
+        "power_a_dbm": ("20", "power_a", 100.0),
+        "power_b_dbm": ("0", "power_b", 1.0),
+        "noise_dbm": ("-80", "noise", 1e-8),
+        "ref_loss_db": ("-20", "ref_loss_db", -20.0),
+        "ref_dist_m": ("0.5", "ref_dist", 0.5),
+        "alpha_direct": ("3.5", "alpha_direct", 3.5),
+        "alpha_bs_irs": ("2.5", "alpha_bs_irs", 2.5),
+        "alpha_irs_ue": ("2.25", "alpha_irs_ue", 2.25),
+    },
+    "train": {
+        "epochs": ("7", "epochs", 7),
+        "samples_per_epoch": ("500", "samples_per_epoch", 500),
+        "batch_size": ("50", "batch_size", 50),
+        "learning_rate": ("0.01", "learning_rate", 0.01),
+        "adam_beta1": ("0.8", "adam_beta1", 0.8),
+        "adam_beta2": ("0.99", "adam_beta2", 0.99),
+        "adam_eps": ("1e-6", "adam_eps", 1e-6),
+        "ue_region": ("6, 14, 4, 16", "ue_region", ((6.0, 14.0), (4.0, 16.0))),
+        "seed": ("9", "seed", 9),
+        "fresh_samples": ("No", "fresh_samples", False),
+    },
+    "sweep": {
+        "variable": ("ETA", "variable", "eta"),
+        "values": ("0.1 0.2", "values", (0.1, 0.2)),
+        "methods": ("random", "methods", ("random",)),
+        "trials": ("9", "trials", 9),
+        "seed": ("4", "seed", 4),
+    },
+}
+_DEFAULTS = {"system": SystemConfig(), "train": TrainConfig(), "sweep": SweepSpec("power", (10.0,))}
+_REQUIRED = {"sweep": {"variable": "power", "values": "10"}}
+_SECTION_KEYS = [(section, key) for section, table in _TABLES.items() for key in table]
+
+
+def _load_section(tmp_path, section, entries):
+    path = tmp_path / "one.ini"
+    body = {**_REQUIRED.get(section, {}), **entries}
+    path.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()))
+    loaded = load_experiment_config(str(path))
+    return loaded[list(_TABLES).index(section)]
+
+
+def test_reader_tables_and_their_tests_name_the_same_keys():
+    assert {s: set(t) for s, t in _TABLES.items()} == {s: set(t) for s, t in _NON_DEFAULT.items()}
+
+
+@pytest.mark.parametrize("section, key", _SECTION_KEYS)
+def test_reader_puts_each_key_in_its_own_field(tmp_path, section, key):
+    raw, field, want = _NON_DEFAULT[section][key]
+    default = _DEFAULTS[section]
+    assert getattr(default, field) != want
+    assert _load_section(tmp_path, section, {key: raw}) == dataclasses.replace(default, **{field: want})
+
+
+@pytest.mark.parametrize("section, key", _SECTION_KEYS)
+def test_reader_rejects_garbage_naming_the_key(tmp_path, section, key):
+    garbage = "maybe" if key == "fresh_samples" else "1x"
+    with pytest.raises(ConfigError, match=rf"\b{section}\.{key}\b"):
+        _load_section(tmp_path, section, {key: garbage})
+
+
+def test_reader_rejects_a_bad_interpolation(tmp_path):
+    # configparser raised its InterpolationSyntaxError through main() as a traceback
+    with pytest.raises(ConfigError, match=r"system\.m: '5%'"):
+        _load_section(tmp_path, "system", {"m": "5%"})
+    assert _load_section(tmp_path, "system", {"l_h": "3", "l_v": "%(l_h)s"}).L == 9
+
+
+def test_readme_config_block_is_the_defaults_and_names_every_key(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert {s: set(parser[s]) for s in parser.sections()} == {s: set(t) for s, t in _TABLES.items()}
+    system, train_cfg, spec = load_experiment_config(str(path))
+    assert system == SystemConfig()
+    assert train_cfg == TrainConfig()
+    assert spec.variable == "power"
+
+
 # --------------------------------------------------------------------------
 # CLI
 
@@ -455,6 +557,39 @@ def test_cli_train_rejects_region_at_the_surface(tmp_path, capsys):
     assert not (tmp_path / "out" / "train_history.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "learning_rate = nan",
+        "adam_eps = 0",
+        "adam_beta1 = 1.0",
+        "adam_beta2 = 1.0",
+        "ue_region = -inf, inf, 5, 15",
+    ],
+)
+def test_cli_train_rejects_bad_train_values(tmp_path, capsys, entry):
+    # the first four trained to NaN weights and exited 0; the last escaped as an OverflowError
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[train]\nepochs = 1\nsamples_per_epoch = 10\nbatch_size = 10\n{entry}\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()
+
+
+def test_cli_sweep_seed_flag_reseeds_training_and_random_draws(tmp_path):
+    # --seed N must give the bytes of a config whose [train] and [sweep] seeds are both N
+    text = FULL_INI.replace("methods = baseline, random", "methods = pkg_net, random")
+    plain, seeded = tmp_path / "plain.ini", tmp_path / "seeded.ini"
+    plain.write_text(text)
+    seeded.write_text(text.replace("seed = 3", "seed = 8").replace("seed = 2", "seed = 8"))
+    for cfg, extra, out in ((plain, ["--seed", "8"], "a"), (seeded, [], "b"), (plain, [], "c")):
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out)] + extra) == 0
+    a, b, c = ((tmp_path / d / "sweep.csv").read_bytes() for d in "abc")
+    assert a == b and a != c
+
+
 def test_cli_power_sweep_baseline_at_low_power(tmp_path):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text("[sweep]\nvariable = power\nvalues = -10, 0\nmethods = baseline\n")
@@ -527,8 +662,6 @@ def test_cli_train_and_infer_roundtrip(tmp_path):
 @pytest.mark.parametrize("verb", ["skr", "sweep"])
 def test_cli_checkpoint_sized_for_another_system_is_a_config_error(tmp_path, capsys, verb):
     # sweeps once fed such a file to the forward pass and died with a numpy ValueError
-    from irskey import neural
-
     ckpt_dir = tmp_path / "ckpt"
     ckpt_dir.mkdir()
     ckpt = ckpt_dir / "pkgnet_M8_L16.ckpt"
