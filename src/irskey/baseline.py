@@ -172,7 +172,7 @@ def waterfill(
         raise ConfigError("tolerance must be positive")
     if var <= 0.0 or power_a <= 0.0 or power_b <= 0.0 or noise <= 0.0:
         raise ConfigError("powers, noise, and effective variance must be positive")
-    p = [float(x) for x in np.linalg.eigvalsh(stats.R_bs)[::-1]]
+    p = [float(x) for x in stats.R_bs_eigh[0][::-1]]
     m = len(p)
     if p[-1] < _MODE_FLOOR:
         raise NumericalError(f"antenna correlation matrix is singular or indefinite (eig {p[-1]:.3e})")
@@ -191,19 +191,18 @@ def waterfill(
 def reconstruct_precoder(result: WaterfillResult, stats: ChannelStatistics) -> np.ndarray:
     """Unit-budget precoder realizing the allocated mode powers.
 
-    Built as the conjugate of (whitening transform times the eigenbasis
-    rescaling); its sandwich with the antenna correlation has eigenvalues
-    equal to ``mode_powers`` and its Gram trace equals M by the budget
-    constraint.
+    The conjugate of U diag(sqrt(q_i / p_i)) U^H in the eigenbasis U of the
+    antenna correlation (eigenvalues p_i): its sandwich with the correlation
+    has eigenvalues equal to ``mode_powers`` q_i, its Gram trace equals M by
+    the budget constraint, and an unpowered mode is a zero singular value.
     """
-    eigvals, eigvecs = np.linalg.eigh(stats.R_bs)
+    eigvals, eigvecs = stats.R_bs_eigh
     p_modes = eigvals[::-1]
     basis = eigvecs[:, ::-1]
     if p_modes[-1] < _MODE_FLOOR:
         raise NumericalError("antenna correlation matrix is singular; cannot whiten")
-    inv_sqrt = (basis / np.sqrt(p_modes)) @ basis.conj().T
-    scaled = (basis * np.sqrt(np.asarray(result.mode_powers))) @ basis.conj().T
-    return (inv_sqrt @ scaled).conj()
+    gains = np.sqrt(np.asarray(result.mode_powers) / p_modes)
+    return ((basis * gains) @ basis.conj().T).conj()
 
 
 def waterfill_design(

@@ -239,6 +239,11 @@ class ChannelStatistics:
         return psd_sqrt(self.R_bs)
 
     @cached_property
+    def R_bs_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """R_bs = U diag(lam) U^H as (lam ascending, U), from its lower triangle."""
+        return np.linalg.eigh(self.R_bs)
+
+    @cached_property
     def R_irs_sqrt(self) -> np.ndarray:
         return psd_sqrt(self.R_irs)
 
@@ -268,9 +273,14 @@ def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] 
     depend on array geometry, so they are identical across UE positions.
     """
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(config, config.pos_ue if pos_ue is None else pos_ue)
+    try:
+        r_bs = bs_correlation(config.eta, config.M)
+        r_irs = irs_correlation(config.L_h, config.L_v, config.spacing_wl)
+    except (MemoryError, ValueError) as exc:  # ValueError: an array size past what numpy can index
+        raise ConfigError(f"correlation matrices for M={config.M}, L={config.L} do not fit in memory") from exc
     return ChannelStatistics(
-        R_bs=bs_correlation(config.eta, config.M),
-        R_irs=irs_correlation(config.L_h, config.L_v, config.spacing_wl),
+        R_bs=r_bs,
+        R_irs=r_irs,
         beta_direct=float(beta_direct),
         beta_bs_irs=float(beta_bs_irs),
         beta_irs_ue=float(beta_irs_ue),

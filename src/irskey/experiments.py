@@ -78,6 +78,9 @@ class SweepSpec:
                     raise ConfigError(f"surface sizes must be perfect squares, got {val}")
         if len(self.methods) == 0:
             raise ConfigError("sweep needs at least one method")
+        repeated = sorted({method for method in self.methods if self.methods.count(method) > 1})
+        if repeated:
+            raise ConfigError(f"sweep.methods repeats {repeated}")
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sweep.methods entry {method!r}; pick from {METHODS}")

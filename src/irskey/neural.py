@@ -5,10 +5,10 @@ that are reshaped into a complex precoder and reflection phases. Normalization
 layers enforce the power budget and unit modulus structurally, so every
 forward output is feasible for arbitrary parameter values. Training minimizes
 the negative batch-mean SKR with Adam. The loss and its cogradients with
-respect to the signal covariance and the noise Gram come from the Gaussian-MI
-core the closed form uses (``skr._gaussian_mi``); they are propagated
-analytically through the covariance assembly and both normalizations (no
-autodiff framework involved).
+respect to the whitened precoder A = U^H P^* and the effective variance come
+from the Gaussian-MI core the closed form uses (``skr._whitened_mi``); they
+are propagated analytically through both normalizations (no autodiff
+framework involved).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ._blas import single_blas_thread
 from .channel import ChannelStatistics, SystemConfig, _numbers, _require_finite, channel_statistics, link_gains
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign
-from .skr import _LN2, _gaussian_mi, _hermitian_part
+from .skr import _LN2, _variance, _whitened_mi
 
 __all__ = [
     "NetParams",
@@ -249,21 +249,14 @@ def _loss_and_grad(
     precoder, phases, cache = _forward_core(params, locations, system.power_a)
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(system, locations)
     gamma = beta_bs_irs * beta_irs_ue
-    r_bs = stats.R_bs
-    r_sq = stats.R_irs * stats.R_irs
-
-    r_sq_theta = phases @ r_sq  # R_irs o R_irs is real symmetric
-    quad = np.sum(phases.conj() * r_sq_theta, axis=1).real
-    var = beta_direct + gamma * quad  # per-sample effective variance
-    sandwich = np.swapaxes(precoder, 1, 2) @ (r_bs @ precoder.conj())
-    gram = np.einsum("kij,kim->kjm", precoder, precoder.conj())
+    var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
+    lam, basis = stats.R_bs_eigh
     try:
-        r_z = _hermitian_part(var[:, None, None] * sandwich)
-        mi_nats, _, k_z, k_g = _gaussian_mi(
-            r_z, _hermitian_part(gram), system.power_b, system.noise, want_grad=want_grad
+        mi_nats, _, g_a, g_var = _whitened_mi(
+            basis.conj().T @ precoder.conj(), lam, var, system.power_b, system.noise, want_grad=want_grad
         )
     except (NumericalError, np.linalg.LinAlgError):
-        # singular covariance: surface as an infinite loss signal
+        # overflowing covariance: surface as an infinite loss signal
         return math.inf, (_zero_grads(params) if want_grad else None)
 
     loss_bits = float(-np.mean(mi_nats) / _LN2)
@@ -272,10 +265,8 @@ def _loss_and_grad(
 
     scale = -1.0 / (k * _LN2)  # d(loss)/d(sum of per-sample MI in nats)
     # cogradients wrt conj(precoder) and conj(phases) of the scaled objective
-    d_p = var[:, None, None] * (r_bs @ precoder.conj() @ k_z) + precoder.conj() @ k_g
-    g_p = scale * d_p.conj()
-    trace_kz_w = np.einsum("kij,kji->k", k_z, sandwich).real
-    g_theta = (scale * gamma * trace_kz_w)[:, None] * r_sq_theta
+    g_p = scale * (basis @ g_a).conj()
+    g_theta = (scale * gamma * g_var)[:, None] * squared_theta
 
     # back through the phase normalization (radial components drop out)
     u, v, radius, live = cache[6]

@@ -2,9 +2,10 @@
 
 The SKR of one probing round is the Gaussian mutual information between the
 two observations, in bits. The closed form and the trainer's loss share one
-core, ``_gaussian_mi`` (logdet(R_b) - logdet(R_b|a) through the push-through
-identity, with cogradients on request); only Monte Carlo uses the three-logdet
-form logdet(R_a) + logdet(R_b) - logdet(R_joint), on sample covariances.
+core, ``_whitened_mi``: in the eigenbasis of R_bs it is a difference of two
+identity-plus-PSD log-determinants, with cogradients on request. Only Monte
+Carlo uses the three-logdet form logdet(R_a) + logdet(R_b) - logdet(R_joint),
+on sample covariances.
 """
 
 from __future__ import annotations
@@ -67,12 +68,20 @@ def _logdet_psd(mat: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(diag).sum(axis=-1)
 
 
-def _is_positive_definite(mat: np.ndarray) -> bool:
-    """Whether every stacked Hermitian matrix has a finite Cholesky factor (NaN passes LAPACK)."""
+def _positive_definite(mats: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix stacked on the first axis has a Cholesky factor.
+
+    One LAPACK call covers the batch; where it fails, each half is retried, so
+    every matrix is judged on its own.
+    """
     try:
-        return bool(np.isfinite(np.linalg.cholesky(mat)).all())
+        np.linalg.cholesky(mats)
+        return np.ones(len(mats), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
+        if len(mats) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(mats) // 2
+        return np.concatenate([_positive_definite(mats[:half]), _positive_definite(mats[half:])])
 
 
 def _mi_bits_from_joint(joint: np.ndarray) -> np.ndarray:
@@ -85,21 +94,19 @@ def _mi_bits_from_joint(joint: np.ndarray) -> np.ndarray:
     return (ld_a + ld_b - ld_j) / _LN2
 
 
-def _signal_covariance(precoders: np.ndarray, phases: np.ndarray, stats: ChannelStatistics) -> np.ndarray:
-    """var(phases) * P^T R_bs P^*, with precoders and phases stacked over leading axes.
+def _variance(phases: np.ndarray, stats: ChannelStatistics, gains=None):
+    """Effective variance var and (R_irs o R_irs) phases, stacked over leading axes.
 
-    The cascade covariance is block diagonal with reflected block
-    beta_bs_irs * beta_irs_ue * kron(R_irs o R_irs, R_bs), so its sandwich with
-    kron(phases_ext, P) collapses to the antenna correlation scaled by the
-    quadratic form of the squared surface correlation. The identity holds for
-    any phases; unit modulus is not required.
+    var = beta_direct + beta_bs_irs beta_irs_ue phases^H (R_irs o R_irs) phases
+    for any phases; the cascade covariance's sandwich with kron(phases_ext, P)
+    is var P^T R_bs P^*. ``gains`` = (beta_direct, beta_bs_irs beta_irs_ue),
+    broadcasting with the leading axes, replaces the link gains of ``stats``.
     """
-    p = np.asarray(precoders)
     theta = np.asarray(phases)
-    squared_corr = stats.R_irs * stats.R_irs
-    quad = np.real(np.sum(theta.conj() * (theta @ squared_corr), axis=-1))
-    var = stats.beta_direct + stats.beta_bs_irs * stats.beta_irs_ue * quad
-    return var[..., None, None] * (np.swapaxes(p, -1, -2) @ stats.R_bs @ p.conj())
+    squared_theta = theta @ (stats.R_irs * stats.R_irs)
+    quad = np.sum(theta.conj() * squared_theta, axis=-1).real
+    direct, cascade = gains if gains is not None else (stats.beta_direct, stats.beta_bs_irs * stats.beta_irs_ue)
+    return direct + cascade * quad, squared_theta
 
 
 def combined_covariance(design: ProbeDesign, stats: ChannelStatistics) -> np.ndarray:
@@ -109,26 +116,19 @@ def combined_covariance(design: ProbeDesign, stats: ChannelStatistics) -> np.nda
     evaluated in the factored form var(phases) * P^T R_bs P^* without building
     the M(L+1)-square cascade covariance.
     """
-    return _signal_covariance(design.precoder, design.phases, stats)
+    p = design.precoder
+    return _variance(design.phases, stats)[0] * (p.T @ stats.R_bs @ p.conj())
 
 
 def effective_variance(phases: np.ndarray, stats: ChannelStatistics) -> float:
-    """Per-antenna variance of the combined channel for given reflection phases.
-
-    Equals beta_direct plus the surface contribution through the quadratic form
-    of the squared surface correlation. Real and positive for unit-modulus
-    phases.
-    """
+    """Per-antenna variance of the combined channel for unit-modulus reflection phases."""
     theta = np.asarray(phases)
     mod_err = np.abs(np.abs(theta) - 1.0).max(initial=0.0)
     if mod_err > 1e-6:
         raise ConfigError(f"reflection coefficients deviate from unit modulus by {mod_err:.3e}")
-    squared_corr = stats.R_irs * stats.R_irs
-    quad = float(np.real(theta.conj() @ squared_corr @ theta))
-    return stats.beta_direct + stats.beta_bs_irs * stats.beta_irs_ue * quad
+    return float(_variance(theta, stats)[0])
 
 
-_RANK_RTOL = 1e-12  # Gram eigenmodes below this fraction of the largest carry no signal
 # A key rate is a difference of two log-determinants; a negative result within
 # this fraction of their summed magnitudes (in bits) is roundoff and reads as 0.
 _CLAMP_RTOL = 1e-10
@@ -147,62 +147,48 @@ def _nonnegative_bits(bits: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(bits <= 0.0, 0.0, bits)
 
 
-def _gaussian_mi(r_z: np.ndarray, gram: np.ndarray, power_b: float, noise: float, keep=None, want_grad=False):
+def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float, noise: float, want_grad=False):
     """Gaussian mutual information in nats of probing rounds stacked over leading axes.
 
-    With noise Gram G and uplink covariance R_a = power_b R_z + N G,
-    MI = logdet(R_z + N I) - M log N - logdet(S) with S = I + G R_a^-1 R_z =
-    R_b|a / N (push-through identity): both log-determinants are of
-    identity-plus-PSD matrices, so nothing cancels at high SNR.
+    ``a`` = U^H P^* for an invertible precoder P, with R_bs = U diag(lam) U^H,
+    and ``var`` the effective variance. y_a = P^T u then carries all of
+    u = sqrt(power_b) c + n_a, so with signal variances s = var lam,
+    MI = logdet(I + A^H D1 A) - logdet(I + A^H D2 A), where D1 = s / N and
+    D2 = s / (power_b s + N) are the downlink SNR without and with u known.
+    Both log-determinants are of identity-plus-PSD matrices: nothing cancels.
 
-    ``keep`` (boolean [..., M], for a diagonal G) restricts the uplink to the
-    modes it marks: dropped modes get identity rows and columns in R_a and zero
-    right-hand-side rows, which leaves the kept block's solve unchanged.
-
-    Returns (nats, magnitude, k_z, k_g); ``magnitude`` = |logdet R_b| +
-    |logdet R_b|a| scales the roundoff of ``nats``. With ``want_grad`` (no
-    mask), dMI = tr(k_z dR_z) + tr(k_g dG) with k_z = R_b^-1 - N X S^-1 X^H and
-    k_g = -power_b W S^-1 W^H, where X = R_a^-1 G and W = R_a^-1 R_z come from
-    one solve; otherwise both are None. Singular or non-PD covariances raise
-    NumericalError.
+    Returns (nats, magnitude, g_a, g_var), ``magnitude`` = |ld1| + |ld2| (the
+    roundoff scale of ``nats``). With ``want_grad``, g_a = dMI/dA^* =
+    D1 A T1 - D2 A T2 and g_var = dMI/dvar = tr(T1 A^H lam A) / N -
+    tr(T2 A^H (N lam / (power_b s + N)^2) A), T_i = (I + A^H D_i A)^-1;
+    otherwise both are None.
     """
-    m = r_z.shape[-1]
-    eye = np.eye(m)
-    r_a = power_b * r_z + noise * gram
-    rhs = r_z
-    if keep is not None:
-        keep_i = keep[..., :, None]
-        keep_j = keep[..., None, :]
-        r_a = np.where(keep_i & keep_j, r_a, eye)
-        rhs = np.where(keep_i, r_z, 0.0)
-    if want_grad:
-        rhs = np.concatenate([gram, rhs], axis=-1)
-    try:
-        sol = np.linalg.solve(r_a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"uplink covariance is singular: {exc}") from exc
-    w = sol[..., -m:]
-    if keep is None:
-        s = gram @ w
-    else:
-        # kept rows I + G_k W, the coupling mirrored below them, and a dropped
-        # block carrying only the (unobserved) residual signal
-        s = np.diagonal(gram, axis1=-2, axis2=-1)[..., :, None] * w
-        residual = (r_z - power_b * r_z @ w) / noise
-        s = np.where(keep_i, s, np.where(keep_j, np.swapaxes(s, -1, -2).conj(), residual))
-    s = eye + s
-    s = 0.5 * (s + np.swapaxes(s, -1, -2).conj())  # solver roundoff only
-    ld_b = _logdet_psd(r_z + noise * eye)
-    ld_cond = _logdet_psd(s) + m * math.log(noise)
-    nats = ld_b - ld_cond
-    magnitude = np.abs(ld_b) + np.abs(ld_cond)
+    s = var[..., None] * lam
+    d1 = s / noise
+    d2 = s / (power_b * s + noise)
+    eye = np.eye(a.shape[-1])
+    a_h = np.swapaxes(a, -1, -2).conj()
+    k1 = eye + a_h @ (d1[..., None] * a)
+    k2 = eye + a_h @ (d2[..., None] * a)
+    ld1, ld2 = _logdet_psd(k1), _logdet_psd(k2)
+    nats, magnitude = ld1 - ld2, np.abs(ld1) + np.abs(ld2)
     if not want_grad:
         return nats, magnitude, None, None
-    x = sol[..., :m]
-    t = np.linalg.inv(s)
-    k_z = np.linalg.inv(r_z + noise * eye) - noise * (x @ t @ np.swapaxes(x, -1, -2).conj())
-    k_g = -power_b * (w @ t @ np.swapaxes(w, -1, -2).conj())
-    return nats, magnitude, k_z, k_g
+    x1 = a @ np.linalg.inv(k1)
+    x2 = a @ np.linalg.inv(k2)
+    g_a = d1[..., None] * x1 - d2[..., None] * x2
+    w1 = np.sum(x1 * a.conj(), axis=-1).real  # diagonals of A T_i A^H
+    w2 = np.sum(x2 * a.conj(), axis=-1).real
+    g_var = np.sum(lam * (w1 / noise - noise * w2 / (power_b * s + noise) ** 2), axis=-1)
+    return nats, magnitude, g_a, g_var
+
+
+# The unrotated core forms A^H D A with an error of ~eps times its largest
+# entry, S = max(D) tr(G) for the precoder Gram G. A weak precoder direction
+# (singular value ratio rho) sees that error against its own SNR rho^2 S, so
+# the rate moves by up to ~eps S / (1 + rho^2 S) nats. Designs whose bound may
+# exceed this fraction of their rate are evaluated in the singular basis of P.
+_UNROTATED_RTOL = 1e-14
 
 
 def closed_form_bits(
@@ -214,40 +200,50 @@ def closed_form_bits(
 ) -> np.ndarray:
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
-    A design whose Gram eigenvalues all exceed _RANK_RTOL of the largest goes to
-    ``_gaussian_mi`` as it is; others go in the Gram eigenbasis, masked to the
-    modes above that cutoff (a zero precoder reads 0 bits). Cholesky certificates
-    (R_z + 0.5e-10 scale I; G - 2 _RANK_RTOL tr(G) I) skip both eigendecompositions;
-    where one fails the batch takes that eigenvalue test, as a design alone would.
+    Every design goes through ``_whitened_mi`` with A = U^H P^*, and keeps that
+    rate unless its singular values fail s_min^2 > tau sum(s_i^2), where tau
+    >= M eps makes the rate accurate to _UNROTATED_RTOL. Designs that fail are
+    evaluated in the singular basis of P: singular values s_i <= M eps s_max
+    are roundoff and dropped (a zero precoder reads 0 bits), the rest span the
+    range of P^* that the uplink observes, and R_bs is compressed onto it. A
+    Cholesky certificate on G - tau tr(G) I, judged per design, proves the
+    test and skips the SVD, so a design's bits do not depend on the batch.
     """
     p = np.asarray(precoders)
-    gram = _hermitian_part(np.swapaxes(p, -1, -2) @ p.conj())
+    gram = np.swapaxes(p, -1, -2) @ p.conj()
     if not np.isfinite(gram).all():
         raise NumericalError("precoder Gram matrix has non-finite entries")
-    r_z = _hermitian_part(_signal_covariance(p, phases, stats))
-    scale = np.maximum(1.0, np.abs(r_z).max(axis=(-2, -1), initial=0.0))
-    eye = np.eye(gram.shape[-1])
-    if not _is_positive_definite(r_z + 0.5e-10 * scale[..., None, None] * eye):
-        eig_min = np.linalg.eigvalsh(r_z)[..., 0]
+    var = _variance(phases, stats)[0]
+    if not np.isfinite(var).all():
+        raise NumericalError("effective variance is not finite")
+    _hermitian_part(stats.R_bs)  # eigh would read an asymmetric R_bs by its lower triangle alone
+    lam, basis = stats.R_bs_eigh
+    if lam[0] < 0.0:  # an indefinite R_bs: only roundoff may make a signal covariance negative
+        r_z = var[:, None, None] * (np.swapaxes(p, -1, -2) @ stats.R_bs @ p.conj())
+        scale = np.maximum(1.0, np.abs(r_z).max(axis=(-2, -1), initial=0.0))
+        eig_min = np.linalg.eigvalsh(r_z)[:, 0]
         if np.any(eig_min < -1e-10 * scale):
             raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
-    live = full = np.ones(gram.shape[:-2], dtype=bool)
-    if not _is_positive_definite(gram - 2.0 * _RANK_RTOL * np.einsum("...ii", gram).real[..., None, None] * eye):
-        evals, evecs = np.linalg.eigh(gram)
-        lam = evals[..., ::-1]
-        live = lam[..., 0] > 0.0  # a zero precoder observes nothing: 0 bits
-        keep = (lam > _RANK_RTOL * lam[..., :1]) & live[..., None]
-        full = keep.all(axis=-1)
-    nats, magnitude = np.zeros(full.shape), np.zeros(full.shape)
-    if full.any():
-        nats[full], magnitude[full], _, _ = _gaussian_mi(r_z[full], gram[full], power_b, noise)
-    if not full.all():
-        part = ~full
-        basis = evecs[part][..., ::-1]
-        z_rot = np.swapaxes(basis, -1, -2).conj() @ r_z[part] @ basis
-        z_rot = 0.5 * (z_rot + np.swapaxes(z_rot, -1, -2).conj())
-        nats[part], magnitude[part], _, _ = _gaussian_mi(z_rot, lam[part][..., None] * eye, power_b, noise, keep[part])
-    return _nonnegative_bits(np.where(live, nats / _LN2, 0.0), magnitude / _LN2)
+    m = p.shape[-1]
+    eps = np.finfo(float).eps
+    nats, magnitude, _, _ = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
+    trace = np.einsum("kii->k", gram).real
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero precoder has no rate to keep
+        bound = eps / (_UNROTATED_RTOL * nats) - noise / (var * lam[-1] * trace)
+        tau = np.where(nats > 0.0, np.clip(bound, m * eps, 1.0), 1.0)
+    doubt = np.flatnonzero(~_positive_definite(gram - (tau * trace)[:, None, None] * np.eye(m)))
+    if doubt.size:
+        left, sv, _ = np.linalg.svd(p[doubt])
+        weak = sv[:, -1] ** 2 <= tau[doubt] * np.sum(sv**2, axis=-1)  # the certificate's test
+        rank = np.where(weak, np.sum(sv > m * eps * sv[:, :1], axis=-1), 0)  # 0: keep (P = 0 reads 0 bits)
+        for r in np.unique(rank[rank > 0]):
+            part = rank == r
+            range_ = left[part][..., :r].conj()  # orthonormal basis of the range of P^*
+            lam_r, basis_r = np.linalg.eigh(np.swapaxes(range_, -1, -2).conj() @ stats.R_bs @ range_)
+            a = np.swapaxes(basis_r, -1, -2).conj() * sv[part][:, None, :r]  # P^* = range_ diag(sv) V_r^T
+            rows = doubt[part]
+            nats[rows], magnitude[rows], _, _ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
+    return _nonnegative_bits(nats / _LN2, magnitude / _LN2)
 
 
 def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:

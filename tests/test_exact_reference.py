@@ -1,0 +1,95 @@
+"""The closed form against the exact mutual information in 60-digit arithmetic.
+
+The reference is written from the probing model, not from ``irskey.skr``: with
+R_z = var(theta) P^T R_bs P^*, the uplink covariance p_b R_z + N P^T P^*, the
+downlink covariance R_z + N I and their cross covariance sqrt(p_b) R_z, it
+takes logdet R_a + logdet R_b - logdet joint in mpmath. Two regimes where
+double precision can lose digits: a precoder just short of rank deficiency,
+and low SNR, where the rate is a small difference of large terms. Water-filling
+designs, rank-deficient at low SNR, are checked against their per-mode rates.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from irskey import SystemConfig, channel_statistics, dbm_to_mw, effective_variance
+from irskey.baseline import waterfill_design
+from irskey.skr import closed_form_bits
+
+mp = pytest.importorskip("mpmath")
+
+
+def _exact_bits(p, phases, stats, power_b, noise):
+    with mp.workdps(60):
+        m = p.shape[0]
+        prec = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in p])
+        r_bs = mp.matrix(stats.R_bs.tolist())
+        power_b, noise = mp.mpf(power_b), mp.mpf(noise)
+        r_z = mp.mpf(effective_variance(phases, stats)) * (prec.T * r_bs * prec.conjugate())
+        r_a = power_b * r_z + noise * (prec.T * prec.conjugate())
+        r_b = r_z + noise * mp.eye(m)
+        cross = mp.sqrt(power_b) * r_z
+        joint = mp.zeros(2 * m)
+        for i in range(m):
+            for j in range(m):
+                joint[i, j], joint[m + i, m + j] = r_a[i, j], r_b[i, j]
+                joint[i, m + j], joint[m + i, j] = cross[i, j], mp.conj(cross[j, i])
+        logdet = lambda mat: mp.re(mp.log(mp.det(mat)))
+        return float((logdet(r_a) + logdet(r_b) - logdet(joint)) / mp.log(2))
+
+
+def _unitary(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _relative_error(cfg, p, phases):
+    stats = channel_statistics(cfg)
+    got = closed_form_bits(p[None], phases[None], stats, cfg.power_b, cfg.noise)[0]
+    want = _exact_bits(p, phases, stats, cfg.power_b, cfg.noise)
+    return abs(got - want) / want
+
+
+@pytest.mark.parametrize("power_dbm", [-10.0, 0.0])
+def test_near_rank_deficient_precoder_keeps_every_mode(power_dbm):
+    # Gram eigenvalue ratio 1e-13: full rank, so the uplink observes all of u
+    # and the weak mode still carries key; dropping it read ~10% low
+    cfg = SystemConfig(M=3, L_h=2, L_v=2, eta=0.5, power_a=dbm_to_mw(power_dbm), power_b=dbm_to_mw(power_dbm))
+    rng = np.random.default_rng(7)
+    p = (_unitary(rng, 3) * np.array([1.0, 0.6, math.sqrt(1e-13)])) @ _unitary(rng, 3)
+    p *= math.sqrt(3 * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L))
+    assert _relative_error(cfg, p, phases) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_low_snr_rate_keeps_its_digits(m):
+    # at -10 dBm the rate is ~0.05-0.1 bits, a small difference of two log-determinants
+    cfg = SystemConfig(M=m, power_a=dbm_to_mw(-10.0), power_b=dbm_to_mw(-10.0))
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        p = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        p *= math.sqrt(m * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L))
+        assert _relative_error(cfg, p, phases) <= 5e-14
+
+
+@pytest.mark.parametrize("eta, power_dbm", [(0.0, -10.0), (0.3, 0.0), (0.9, 30.0)])
+def test_water_filling_design_equals_its_per_mode_rate(eta, power_dbm):
+    # the design is diagonal in the eigenbasis of R_bs, so its rate is a sum of
+    # scalar rates over the powered modes; at -10 dBm only one mode is powered
+    cfg = SystemConfig(M=4, eta=eta, power_a=dbm_to_mw(power_dbm), power_b=dbm_to_mw(power_dbm))
+    stats = channel_statistics(cfg)
+    design, wf = waterfill_design(cfg, stats)
+    got = closed_form_bits(design.precoder[None], design.phases[None], stats, cfg.power_b, cfg.noise)[0]
+    with mp.workdps(60):
+        var, power_b, noise = (mp.mpf(x) for x in (effective_variance(design.phases, stats), cfg.power_b, cfg.noise))
+        nats = 0
+        for q, lam in zip(wf.mode_powers, np.linalg.eigvalsh(stats.R_bs)[::-1]):
+            if q > 0.0:
+                s, gain = var * mp.mpf(lam), mp.mpf(cfg.power_a) * mp.mpf(q) / mp.mpf(lam)
+                nats += mp.log((power_b * s + noise) * (gain * s + noise) / (noise * (gain * s + power_b * s + noise)))
+        want = float(nats / mp.log(2))
+    assert abs(got - want) <= 1e-13 * want

@@ -67,6 +67,19 @@ def test_sweep_spec_validation():
         SweepSpec("m", (2, 4), trials=0)
 
 
+def test_sweep_spec_rejects_repeated_methods(tmp_path, capsys):
+    # a repeated method wrote each of its rows twice and trained the inline network twice per point
+    with pytest.raises(ConfigError, match=r"repeats \['pkg_net', 'random'\]"):
+        SweepSpec("m", (2, 4), methods=("pkg_net", "random", "pkg_net", "random"))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nvariable = m\nvalues = 2, 4\nmethods = baseline, random, baseline\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "['baseline']" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_spec_rejects_non_integer_sizes(tmp_path):
     # _override would otherwise run these as M=4 and L=16 through int()
     with pytest.raises(ConfigError):
@@ -635,6 +648,22 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, argv, ini):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "system",
+    ["l_h = 1000000\nl_v = 1\n", "m = " + "9" * 400 + "\n"],
+    ids=["surface-1e6", "antennas-400-digits"],
+)
+def test_cli_system_too_large_for_memory_is_a_config_error(tmp_path, capsys, system):
+    # numpy refuses the L x L or M x M correlation matrix before touching memory;
+    # that escaped main() as an _ArrayMemoryError or a ValueError traceback
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[system]\n" + system)
+    out = tmp_path / "out"
+    assert cli.main(["baseline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "M=" in err and "L=" in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -166,22 +166,29 @@ def test_closed_form_permutation_similarity(rng):
     assert b == pytest.approx(a, rel=1e-10)
 
 
-def test_closed_form_continuous_across_rank_boundary(rng):
-    # shrinking one precoder column to zero converges to the reduced-rank value
+def test_closed_form_jumps_only_at_exact_rank_deficiency():
+    # y_a = P^T u carries all of u for any invertible P, however weak a column,
+    # so as one column shrinks the rate tends to I(u; c_1 + n_1); only the zero
+    # column drops u_2 from the uplink, leaving I(u_1; c_1 + n_1), which is
+    # lower because the two antennas are correlated
     stats = ChannelStatistics(
         R_bs=bs_correlation(0.3, 2), R_irs=irs_correlation(2, 2),
         beta_direct=1e-8, beta_bs_irs=1e-6, beta_irs_ue=1e-5,
     )
-    base = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    power_b, noise = 10.0, 1e-9
     def bits_at(eps):
-        p = base.copy()
-        p[:, 1] *= eps
+        p = np.diag([1.0, eps]).astype(complex)
         return skr_closed_form(ProbeDesign(precoder=p, phases=np.ones(4, dtype=complex)),
-                               stats, 10.0, 1e-9).bits
-    limit = bits_at(0.0)
-    assert abs(bits_at(1e-5) - limit) < 1e-3
-    assert abs(bits_at(1e-7) - limit) < 1e-7
-    assert limit > 0.0
+                               stats, power_b, noise).bits
+    r_c = effective_variance(np.ones(4, dtype=complex), stats) * stats.R_bs
+    given_u = noise * np.linalg.solve(power_b * r_c + noise * np.eye(2), r_c)  # cov(c | u)
+    seen = math.log2((r_c[0, 0] + noise) / (given_u[0, 0] + noise))
+    dropped = scalar_mi_bits(1.0, power_b, r_c[0, 0], noise)
+    assert seen - dropped > 1e-4
+    assert abs(bits_at(1e-5) - seen) < 1e-8
+    for eps in (1e-7, 1e-9, 1e-12):
+        assert abs(bits_at(eps) - seen) <= 1e-12 * seen
+    assert abs(bits_at(0.0) - dropped) <= 1e-12 * dropped
 
 
 def test_closed_form_rejects_negative_rate_beyond_roundoff(small_stats, rng, monkeypatch):
@@ -215,6 +222,12 @@ def _direct_only_stats(r_bs):
     return ChannelStatistics(R_bs=r_bs, R_irs=np.eye(1), beta_direct=1.0, beta_bs_irs=0.0, beta_irs_ue=1.0)
 
 
+def test_closed_form_rejects_asymmetric_antenna_correlation():
+    stats = _direct_only_stats(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NumericalError, match="Hermitian"):
+        skr.closed_form_bits(np.eye(2, dtype=complex)[None], np.ones((1, 1)), stats, 10.0, 1e-9)
+
+
 @pytest.mark.parametrize("gains, min_eig", [((1.0,), "-1.000e+00"), ((1.0, 2.0, 0.5), "-4.000e+00")])
 def test_closed_form_rejects_indefinite_signal_covariance(gains, min_eig):
     # R_bs with eigenvalues 3 and -1, which no channel correlation has; the
@@ -225,46 +238,49 @@ def test_closed_form_rejects_indefinite_signal_covariance(gains, min_eig):
         skr.closed_form_bits(precoders, np.ones((len(gains), 1)), stats, 10.0, 1e-9)
 
 
+def _force_singular_basis(monkeypatch):
+    """Fail the conditioning certificate for every design, so each one takes the SVD."""
+    monkeypatch.setattr(skr, "_positive_definite", lambda mats: np.zeros(len(mats), dtype=bool))
+
+
 @pytest.mark.parametrize("min_eig, passes", [(-0.4e-10, True), (-0.9e-10, True), (-1.1e-10, False)])
-def test_closed_form_psd_check_tolerance(min_eig, passes):
-    # -0.4e-10 passes the Cholesky certificate, -0.9e-10 only the eigenvalue
-    # test behind it, and -1.1e-10 lies beyond the 1e-10 roundoff allowance
+def test_closed_form_psd_check_tolerance(min_eig, passes, monkeypatch):
+    # an R_bs eigenvalue down to -1e-10 (relative to the covariance scale) is
+    # roundoff, on the unrotated route and in the singular basis alike
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])
     stats = _direct_only_stats(rot @ np.diag([1.0, min_eig]) @ rot.T)
     call = lambda: skr.closed_form_bits(np.eye(2, dtype=complex)[None], np.ones((1, 1)), stats, 10.0, 1.0)
-    if passes:
-        assert call()[0] >= 0.0
-    else:
-        with pytest.raises(NumericalError, match="indefinite"):
-            call()
+    for force in (False, True):
+        if force:
+            _force_singular_basis(monkeypatch)
+        if passes:
+            assert call()[0] >= 0.0
+        else:
+            with pytest.raises(NumericalError, match="indefinite"):
+                call()
 
 
-def test_closed_form_nan_phases_fail_in_the_eigenvalue_check(small_stats, rng):
-    # a NaN covariance factors without a LAPACK error; it must not pass as
-    # positive definite, and fails in the eigenvalue test as it always has
+def test_closed_form_nan_phases_are_a_numerical_error(small_stats, rng):
+    # a NaN effective variance must not reach LAPACK, which factors NaN without error
     designs = [_random_design(2, 4, rng) for _ in range(3)]
     precoders = np.stack([d.precoder for d in designs])
     phases = np.stack([d.phases for d in designs])
     phases[1, 2] = np.nan
-    try:
-        np.linalg.eigvalsh(np.full((2, 2), np.nan))
-        expected = NumericalError  # a LAPACK that returns NaN eigenvalues fails later, in the core
-    except np.linalg.LinAlgError:
-        expected = np.linalg.LinAlgError
-    with pytest.raises(expected):
+    with pytest.raises(NumericalError, match="effective variance"):
         skr.closed_form_bits(precoders, phases, small_stats, 10.0, 1e-9)
 
 
 def test_closed_form_certificates_only_skip_work(rng, monkeypatch):
-    # with both Cholesky certificates failing, every design takes the
-    # eigendecomposition route, and the bits and errors stay the same
+    # with the Cholesky certificate failing, every design takes the SVD, which
+    # keeps the unrotated rate wherever the certificate's test holds: the bits
+    # and errors stay the same
     stats = _direct_only_stats(bs_correlation(0.5, 3))
     precoders = np.stack([_random_design(3, 1, rng).precoder for _ in range(4)])
     precoders[1, :, 2] = 0.0
     precoders[2] = 0.0
     phases = np.ones((4, 1))
     fast = skr.closed_form_bits(precoders, phases, stats, 10.0, 1e-9)
-    monkeypatch.setattr(skr, "_is_positive_definite", lambda mat: False)
+    _force_singular_basis(monkeypatch)
     npt.assert_array_equal(skr.closed_form_bits(precoders, phases, stats, 10.0, 1e-9), fast)
     assert fast[2] == 0.0 and np.all(fast[[0, 1, 3]] > 0.0)
     with pytest.raises(NumericalError, match="indefinite"):
