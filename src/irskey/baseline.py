@@ -27,7 +27,6 @@ from .skr import _LN2, effective_variance, per_mode_objective
 __all__ = [
     "WaterfillResult",
     "equal_phase_vector",
-    "per_mode_objective",
     "waterfill",
     "reconstruct_precoder",
     "waterfill_design",
@@ -167,6 +166,8 @@ def waterfill(
     discontinuously. The single-mode corner q = (M p_1, 0, ...) is a
     candidate too: the k = 1 solution, and the optimum when no mode can pass
     the peak, where the utility is convex on the feasible set. The best wins.
+    SNR terms a and b that the solve cannot resolve in floats raise
+    NumericalError.
     """
     if tol <= 0.0:
         raise ConfigError("tolerance must be positive")
@@ -178,8 +179,11 @@ def waterfill(
         raise NumericalError(f"antenna correlation matrix is singular or indefinite (eig {p[-1]:.3e})")
     a = power_b * var / noise
     b = power_a * var / noise
-    q_peak = _marginal_peak(a, b)
-    options = [_active_set_powers(p[:k], m, a, b, q_peak, tol) for k in range(m, 1, -1)]
+    try:  # a b past the float range, or a and b hundreds of decades apart
+        q_peak = _marginal_peak(a, b)
+        options = [_active_set_powers(p[:k], m, a, b, q_peak, tol) for k in range(m, 1, -1)]
+    except ZeroDivisionError as exc:
+        raise NumericalError(f"water-filling divides by 0 at SNR terms a = {a:.3e}, b = {b:.3e}") from exc
     options.append(([m * p[0]] + [0.0] * (m - 1), _marginal_nats(m * p[0], a, b) * p[0]))
     options = [option for option in options if option is not None]
     modes = per_mode_objective(np.array([q for q, _ in options]), var, power_a, power_b, noise)

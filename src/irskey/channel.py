@@ -30,7 +30,6 @@ __all__ = [
     "channel_statistics",
     "sample_realization",
     "sample_batch",
-    "load_system_config",
 ]
 
 
@@ -178,19 +177,42 @@ def link_gains(config: SystemConfig, ue_positions):
 
     The two UE-side gains keep the leading shape of ``ue_positions``; the
     BS-surface gain is one scalar. This is the only place where geometry
-    becomes link gains.
+    becomes link gains. A distance past the float range is a ConfigError
+    naming its link.
     """
     ue = np.asarray(ue_positions, dtype=float)
     if ue.shape[-1:] != (3,):
         raise ConfigError(f"UE positions must be [..., 3], got shape {ue.shape}")
     bs = np.asarray(config.pos_bs, dtype=float)
     irs = np.asarray(config.pos_irs, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing distance is rejected below, not warned about
+        dists = {
+            "BS-UE": np.linalg.norm(ue - bs, axis=-1),
+            "BS-surface": np.linalg.norm(irs - bs),
+            "surface-UE": np.linalg.norm(ue - irs, axis=-1),
+        }
+    for link, dist in dists.items():
+        if np.isinf(dist).any():
+            raise ConfigError(f"{link} distance overflows the float range")
     ref = (config.ref_loss_db, config.ref_dist)
     return (
-        path_gain(np.linalg.norm(ue - bs, axis=-1), config.alpha_direct, *ref),
-        path_gain(np.linalg.norm(irs - bs), config.alpha_bs_irs, *ref),
-        path_gain(np.linalg.norm(ue - irs, axis=-1), config.alpha_irs_ue, *ref),
+        path_gain(dists["BS-UE"], config.alpha_direct, *ref),
+        path_gain(dists["BS-surface"], config.alpha_bs_irs, *ref),
+        path_gain(dists["surface-UE"], config.alpha_irs_ue, *ref),
     )
+
+
+def _hermitian_part(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Symmetrize, rejecting asymmetry beyond ``tol`` relative to each matrix's scale.
+
+    Matrices may be stacked over leading axes; each is judged on its own scale.
+    """
+    adj = np.swapaxes(mat, -1, -2).conj()
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
+    gap = np.abs(mat - adj).max(axis=(-2, -1), initial=0.0)
+    if np.any(gap > tol * scale):
+        raise NumericalError(f"matrix deviates from Hermitian by {float(np.max(gap)):.3e}")
+    return 0.5 * (mat + adj)
 
 
 def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -201,11 +223,10 @@ def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     clipped to zero.
     """
     mat = np.asarray(mat)
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix square root requires a square matrix")
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > tol * scale:
-        raise NumericalError("matrix square root requires a Hermitian input")
+    mat = _hermitian_part(mat, tol)
+    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     w, v = np.linalg.eigh(mat)
     if w.min() < -tol * scale:
         raise NumericalError(f"matrix is indefinite (min eigenvalue {w.min():.3e})")
@@ -240,8 +261,8 @@ class ChannelStatistics:
 
     @cached_property
     def R_bs_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """R_bs = U diag(lam) U^H as (lam ascending, U), from its lower triangle."""
-        return np.linalg.eigh(self.R_bs)
+        """R_bs = U diag(lam) U^H as (lam ascending, U); NumericalError unless R_bs is Hermitian to 1e-8."""
+        return np.linalg.eigh(_hermitian_part(self.R_bs))
 
     @cached_property
     def R_irs_sqrt(self) -> np.ndarray:
@@ -273,6 +294,11 @@ def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] 
     depend on array geometry, so they are identical across UE positions.
     """
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(config, config.pos_ue if pos_ue is None else pos_ue)
+    if beta_direct == 0.0 and beta_bs_irs * beta_irs_ue == 0.0:
+        raise ConfigError(
+            f"no signal path: the BS-UE link gain ({beta_direct:.3e}) and the BS-surface-UE cascade gain "
+            f"({beta_bs_irs:.3e} x {beta_irs_ue:.3e}) both underflow to 0"
+        )
     try:
         r_bs = bs_correlation(config.eta, config.M)
         r_irs = irs_correlation(config.L_h, config.L_v, config.spacing_wl)
@@ -381,13 +407,3 @@ def _parse_section(parser: configparser.ConfigParser, name: str, keys: dict) -> 
         except (ValueError, KeyError, OverflowError, configparser.Error) as exc:
             raise ConfigError(f"bad value for {name}.{key}: {parser.get(name, key, raw=True)!r}") from exc
     return kwargs
-
-
-def load_system_config(path: str) -> SystemConfig:
-    """Read a ``[system]`` section from an INI file into a SystemConfig.
-
-    Power-like keys are given in dBm (``power_a_dbm``, ``power_b_dbm``,
-    ``noise_dbm``) and converted to linear mW. Missing keys fall back to the
-    dataclass defaults.
-    """
-    return SystemConfig(**_parse_section(_read_ini(path), "system", _SYSTEM_KEYS))

@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_skr = sub.add_parser("skr", help="evaluate the key rate of one probing design")
     common(p_skr)
-    p_skr.add_argument("--method", choices=["baseline", "random", "pkg_net"], default="baseline")
+    p_skr.add_argument("--method", choices=experiments.METHODS, default="baseline")
     p_skr.add_argument("--checkpoint", default=None, help="trained checkpoint (pkg_net method)")
     p_skr.add_argument("--trials", type=int, default=100, help="averaging draws for the random method")
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "NumericalError"]
+
 
 class ConfigError(ValueError):
     """Bad user-supplied configuration (file contents, parameter ranges)."""

@@ -37,13 +37,10 @@ __all__ = [
     "normalize_precoder",
     "normalize_phases",
     "loss",
-    "gradient",
     "loss_and_gradient",
     "train",
     "save_checkpoint",
     "load_checkpoint",
-    "params_to_vector",
-    "vector_to_params",
 ]
 
 HIDDEN = 200
@@ -236,10 +233,6 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
     return ProbeDesign(precoder=precoder[0], phases=phases[0])
 
 
-def _zero_grads(params: NetParams) -> NetParams:
-    return NetParams(params.M, params.L, params.hidden)
-
-
 def _loss_and_grad(
     params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool
 ):
@@ -257,7 +250,7 @@ def _loss_and_grad(
         )
     except (NumericalError, np.linalg.LinAlgError):
         # overflowing covariance: surface as an infinite loss signal
-        return math.inf, (_zero_grads(params) if want_grad else None)
+        return math.inf, (NetParams(params.M, params.L, params.hidden) if want_grad else None)
 
     loss_bits = float(-np.mean(mi_nats) / _LN2)
     if not want_grad:
@@ -286,7 +279,7 @@ def _loss_and_grad(
 
     # back through the MLP, into the blocks of one flat gradient vector
     locations_arr, a1, h1, a2, h2, _, _ = cache
-    grads = _zero_grads(params)
+    grads = NetParams(params.M, params.L, params.hidden)
     np.matmul(g_pprime.T, h2, out=grads.Wp)
     g_pprime.sum(axis=0, out=grads.bp)
     np.matmul(g_tprime.T, h2, out=grads.Wt)
@@ -318,12 +311,8 @@ def loss(params: NetParams, batch_locations, config: SystemConfig) -> float:
     return value
 
 
-def gradient(params: NetParams, batch_locations, config: SystemConfig) -> NetParams:
-    """Exact reverse-mode gradient of ``loss`` with respect to every parameter."""
-    return loss_and_gradient(params, batch_locations, config)[1]
-
-
 def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):
+    """``loss`` and its exact reverse-mode gradient with respect to every parameter (a NetParams)."""
     locs = _as_location_array(batch_locations)
     return _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=True)
 
@@ -434,7 +423,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# serialization and flattening helpers
+# serialization
 
 
 def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> None:
@@ -506,15 +495,3 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
     if not np.isfinite(params.vec).all():
         raise ConfigError(f"checkpoint {path} holds non-finite weights")
     return params, meta
-
-
-def params_to_vector(params: NetParams) -> np.ndarray:
-    """A copy of ``params.vec``."""
-    return params.vec.copy()
-
-
-def vector_to_params(vec: np.ndarray, template: NetParams) -> NetParams:
-    """New NetParams sized like ``template`` holding a copy of ``vec``."""
-    params = NetParams(template.M, template.L, template.hidden)
-    params.vec[...] = vec
-    return params

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_blas_thread
-from .channel import ChannelStatistics, _complex_normal
+from .channel import ChannelStatistics, _complex_normal, _hermitian_part
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign, dft_pilot
 
@@ -43,19 +43,6 @@ class SkrReport:
     bits: float
     method: str
     std_error: float | None = None
-
-
-def _hermitian_part(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Symmetrize, rejecting asymmetry beyond ``tol`` relative to each matrix's scale.
-
-    Matrices may be stacked over leading axes; each is judged on its own scale.
-    """
-    adj = np.swapaxes(mat, -1, -2).conj()
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), initial=0.0))
-    gap = np.abs(mat - adj).max(axis=(-2, -1), initial=0.0)
-    if np.any(gap > tol * scale):
-        raise NumericalError(f"matrix deviates from Hermitian by {float(np.max(gap)):.3e}")
-    return 0.5 * (mat + adj)
 
 
 def _logdet_psd(mat: np.ndarray) -> np.ndarray:
@@ -84,10 +71,12 @@ def _positive_definite(mats: np.ndarray) -> np.ndarray:
         return np.concatenate([_positive_definite(mats[:half]), _positive_definite(mats[half:])])
 
 
-def _mi_bits_from_joint(joint: np.ndarray) -> np.ndarray:
-    """Gaussian mutual information (bits) from a 2M x 2M joint covariance."""
-    two_m = joint.shape[-1]
-    m = two_m // 2
+def _mi_bits_from_joint(joint: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Gaussian mutual information (bits) between the first ``m`` coordinates and the rest.
+
+    ``joint`` is their joint covariance; ``m`` defaults to half its size.
+    """
+    m = joint.shape[-1] // 2 if m is None else m
     ld_a = _logdet_psd(_hermitian_part(joint[..., :m, :m]))
     ld_b = _logdet_psd(_hermitian_part(joint[..., m:, m:]))
     ld_j = _logdet_psd(_hermitian_part(joint))
@@ -216,7 +205,6 @@ def closed_form_bits(
     var = _variance(phases, stats)[0]
     if not np.isfinite(var).all():
         raise NumericalError("effective variance is not finite")
-    _hermitian_part(stats.R_bs)  # eigh would read an asymmetric R_bs by its lower triangle alone
     lam, basis = stats.R_bs_eigh
     if lam[0] < 0.0:  # an indefinite R_bs: only roundoff may make a signal covariance negative
         r_z = var[:, None, None] * (np.swapaxes(p, -1, -2) @ stats.R_bs @ p.conj())
@@ -356,7 +344,9 @@ def skr_monte_carlo(
     covariance; the standard error is the batch-means estimate, so it shrinks
     like 1/sqrt(n_samples). Only the covariance is simulated: the estimate is
     the Gaussian formula at the sample covariance, which does not test whether
-    the observations are Gaussian.
+    the observations are Gaussian. y_a = P^T u lies in the range of P^T, so a
+    precoder of rank r < M (singular values at or below M eps s_max dropped,
+    as in the closed form) is observed through y_a's r coordinates there.
     """
     if n_samples < 10_000:
         raise ConfigError(f"Monte Carlo needs at least 10000 samples, got {n_samples}")
@@ -369,6 +359,9 @@ def skr_monte_carlo(
         raise ConfigError(
             f"{per_batch} samples per batch cannot estimate a {2 * design.M}-square covariance"
         )
+    m = design.M
+    _, sv, vh = np.linalg.svd(design.precoder)
+    rank = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
     streams = rng.spawn(n_batches)
     try:
         with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:
@@ -379,15 +372,20 @@ def skr_monte_carlo(
         raise ConfigError(
             f"{n_samples} Monte Carlo samples ({per_batch} per batch) do not fit in memory"
         ) from exc
+    if rank < m:  # [y_a, y_b] -> [y_a in an orthonormal basis of the range of P^T, y_b]
+        t = np.zeros((2 * m, rank + m), dtype=complex)
+        t[:m, :rank] = vh[:rank].conj().T
+        t[m:, rank:] = np.eye(m)
+        moments = [t.T @ moment @ t.conj() for moment in moments]
     batch_bits = np.empty(n_batches)
     for b, moment in enumerate(moments):
         try:
-            batch_bits[b] = _mi_bits_from_joint(moment / per_batch)
+            batch_bits[b] = _mi_bits_from_joint(moment / per_batch, rank)
         except NumericalError as exc:
             raise NumericalError(
                 f"singular sample covariance in batch {b}; increase n_samples"
             ) from exc
-    bits = float(_mi_bits_from_joint(sum(moments) / n_samples))
+    bits = float(_mi_bits_from_joint(sum(moments) / n_samples, rank))
     std_error = float(np.std(batch_bits, ddof=1) / np.sqrt(n_batches))
     if not (math.isfinite(bits) and math.isfinite(std_error)):
         raise NumericalError(f"Monte Carlo estimate {bits} bits (std error {std_error}) is not finite")

@@ -37,14 +37,21 @@ from irskey import (
 from irskey import cli, neural
 from irskey.baseline import per_mode_objective
 from irskey.neural import (
+    NetParams,
     forward,
     init_params,
     loss,
     loss_and_gradient,
-    params_to_vector,
     train,
-    vector_to_params,
 )
+
+
+def _params_from(vec, template):
+    """NetParams sized like ``template`` holding a copy of ``vec``."""
+    params = NetParams(template.M, template.L, template.hidden)
+    params.vec = vec
+    return params
+
 
 _LN2 = math.log(2.0)
 
@@ -164,17 +171,17 @@ def test_criterion_05_analytic_gradient_matches_finite_differences():
         params = init_params(2, 4, rng)
         batch = np.column_stack([rng.uniform(5, 15, 3), rng.uniform(5, 15, 3), np.zeros(3)])
         _, grads = loss_and_gradient(params, batch, system)
-        gvec = params_to_vector(grads)
-        pvec = params_to_vector(params)
+        gvec = grads.vec.copy()
+        pvec = params.vec.copy()
         steep, flat = 0, 0
         for idx in rng.permutation(pvec.size):
             if steep >= 20 and flat >= 20:
                 break
             probe = pvec.copy()
             probe[idx] += step
-            up = loss(vector_to_params(probe, params), batch, system)
+            up = loss(_params_from(probe, params), batch, system)
             probe[idx] -= 2 * step
-            down = loss(vector_to_params(probe, params), batch, system)
+            down = loss(_params_from(probe, params), batch, system)
             fd = (up - down) / (2 * step)
             if abs(fd) >= 1e-5 and steep < 20:
                 steep += 1
@@ -196,11 +203,11 @@ def test_criterion_06_forward_output_always_feasible():
         (SystemConfig(M=3, L_h=3, L_v=3, power_a=2.5), init_params(3, 9, rng, hidden=48)),
     ]
     for system, template in setups:
-        n = params_to_vector(template).size
+        n = template.vec.size
         budget = system.power_a * system.M
         for _ in range(5000):
             scale = 10.0 ** rng.uniform(-3, 1)
-            params = vector_to_params(scale * rng.standard_normal(n), template)
+            params = _params_from(scale * rng.standard_normal(n), template)
             loc = (rng.uniform(0, 30), rng.uniform(0, 30), 0.0)
             design = forward(params, loc, system)
             assert np.abs(np.abs(design.phases) - 1.0).max() <= 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from irskey import (
     ChannelStatistics,
+    NumericalError,
     ProbeDesign,
     SystemConfig,
     baseline_design,
@@ -20,7 +22,9 @@ from irskey import (
     skr_closed_form,
     validate_design,
     waterfill,
+    waterfill_design,
 )
+from irskey import init_params, neural
 
 _LN2 = math.log(2.0)
 
@@ -237,3 +241,18 @@ def test_baseline_design_from_config_only(reference_setup):
     b = baseline_design(reference_setup, channel_statistics(reference_setup))
     npt.assert_allclose(a.precoder, b.precoder, atol=1e-12)
     npt.assert_allclose(a.phases, b.phases, atol=1e-12)
+
+
+def test_asymmetric_antenna_correlation_fails_waterfilling_and_the_loss(monkeypatch, rng):
+    # eigh reads R_bs by its lower triangle: both returned finite numbers (9.596 bits, -8.218 bits)
+    system = SystemConfig()
+    stats = channel_statistics(system)
+    r_bs = stats.R_bs.copy()
+    r_bs[0, 3] += 0.2
+    skewed = dataclasses.replace(stats, R_bs=r_bs)
+    with pytest.raises(NumericalError, match="Hermitian"):
+        waterfill_design(system, skewed)
+    monkeypatch.setattr(neural, "channel_statistics", lambda config: skewed)
+    params = init_params(system.M, system.L, rng)
+    with pytest.raises(NumericalError, match="Hermitian"):
+        neural.loss(params, [(10.0, 10.0, 0.0)], system)

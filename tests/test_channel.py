@@ -13,7 +13,7 @@ from irskey import (
     dbm_to_mw,
     irs_correlation,
     link_gains,
-    load_system_config,
+    load_experiment_config,
     mw_to_dbm,
     path_gain,
     sample_batch,
@@ -345,7 +345,7 @@ def test_load_system_config_roundtrip(tmp_path):
         "noise_dbm = -80\n"
         "pos_ue_m = 1, 2, 0\n"
     )
-    cfg = load_system_config(str(path))
+    cfg = load_experiment_config(str(path))[0]
     assert cfg.M == 2 and cfg.L == 9 and cfg.eta == 0.5
     assert cfg.power_a == pytest.approx(1.0, rel=1e-15)
     assert cfg.power_b == pytest.approx(100.0, rel=1e-15)
@@ -355,23 +355,23 @@ def test_load_system_config_roundtrip(tmp_path):
 
 def test_load_system_config_defaults_without_section(tmp_path):
     path = tmp_path / "empty.ini"
-    path.write_text("[other]\nx = 1\n")
-    assert load_system_config(str(path)) == SystemConfig()
+    path.write_text("[train]\nepochs = 3\n")
+    assert load_experiment_config(str(path))[0] == SystemConfig()
 
 
 def test_load_system_config_errors(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\nm = two\n")
     with pytest.raises(ConfigError):
-        load_system_config(str(bad))
+        load_experiment_config(str(bad))[0]
     bad.write_text("[system]\nnot_a_key = 1\n")
     with pytest.raises(ConfigError):
-        load_system_config(str(bad))
+        load_experiment_config(str(bad))[0]
     bad.write_text("[system]\npos_ue_m = 1, 2\n")
     with pytest.raises(ConfigError):
-        load_system_config(str(bad))
+        load_experiment_config(str(bad))[0]
     bad.write_text("[system]\npower_a_dbm = 4000\n")  # beyond float range in mW
     with pytest.raises(ConfigError, match="power_a_dbm"):
-        load_system_config(str(bad))
+        load_experiment_config(str(bad))[0]
     with pytest.raises(OSError):
-        load_system_config(str(tmp_path / "missing.ini"))
+        load_experiment_config(str(tmp_path / "missing.ini"))[0]

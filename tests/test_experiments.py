@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,6 @@ from irskey import (
     effective_variance,
     equal_phase_vector,
     load_experiment_config,
-    load_system_config,
     per_mode_objective,
     random_design,
     read_csv,
@@ -540,7 +540,7 @@ def test_cli_baseline_at_extreme_powers(tmp_path, power_a_dbm, power_b_dbm):
     out = tmp_path / "out"
     assert cli.main(["baseline", "--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "baseline.json").read_text())
-    system = load_system_config(str(cfg))
+    system = load_experiment_config(str(cfg))[0]
     validate_design(baseline_design(system), system.power_a)
     stats = channel_statistics(system)
     p_modes = np.sort(np.linalg.eigvalsh(stats.R_bs))[::-1]
@@ -560,6 +560,46 @@ def test_cli_absurd_power_is_a_numerical_failure(tmp_path, capsys, verb, power_a
     assert cli.main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["skr", "baseline", "mc-check"])
+@pytest.mark.parametrize(
+    "line",
+    ["ref_loss_db = -2000", "noise_dbm = 3000", "noise_dbm = -3000", "power_a_dbm = -3000", "power_b_dbm = -3000"],
+)
+def test_cli_waterfill_past_float_range_is_a_numerical_failure(tmp_path, capsys, verb, line):
+    # a*b under- or overflows, or a and b lie ~300 decades apart: the solve divided by 0 (a traceback)
+    cfg = tmp_path / "snr.ini"
+    cfg.write_text(f"[system]\n{line}\n")
+    assert cli.main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: water-filling")
+    assert "a = " in err[0] and "b = " in err[0]
+
+
+def test_cli_power_sweep_past_float_range_is_a_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nvariable = power\nvalues = -3000, 0\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: water-filling")
+
+
+@pytest.mark.parametrize("argv", [["skr"], ["skr", "--method", "random"], ["baseline"], ["mc-check"]])
+@pytest.mark.parametrize(
+    "line, named",
+    [("pos_ue_m = 1e300, 0, 0", "BS-UE distance"), ("ref_dist_m = 1e-300", "BS-UE link gain")],
+)
+def test_cli_out_of_range_geometry_is_a_config_error_naming_the_link(tmp_path, capsys, argv, line, named):
+    # the distance overflowed with a RuntimeWarning, or every gain underflowed to 0, and the
+    # error blamed the powers; the random method printed 0 bits and exited 0
+    cfg = tmp_path / "geometry.ini"
+    cfg.write_text(f"[system]\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning reaches a user's terminal as extra stderr lines
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and named in err[0]
 
 
 def test_cli_train_rejects_region_at_the_surface(tmp_path, capsys):
@@ -735,6 +775,20 @@ def test_cli_mc_check_consistency(tmp_path):
     payload = json.loads((out / "mc_check.json").read_text())
     assert payload["within_two_std_errors"] is True
     assert payload["abs_gap"] <= 2 * payload["std_error"]
+
+
+@pytest.mark.parametrize("power_dbm, rank", [(0, 2), (-10, 1)])
+def test_cli_mc_check_rank_deficient_baseline(tmp_path, power_dbm, rank):
+    # water-filling leaves modes unpowered, so y_a = P^T u spans rank(P) < M
+    # dimensions and the 2M-square sample covariance was singular (exit 2)
+    cfg = tmp_path / "low_power.ini"
+    cfg.write_text(f"[system]\npower_a_dbm = {power_dbm}\npower_b_dbm = {power_dbm}\n")
+    system = load_experiment_config(str(cfg))[0]
+    assert np.linalg.matrix_rank(baseline_design(system).precoder) == rank
+    out = tmp_path / "out"
+    assert cli.main(["mc-check", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "mc_check.json").read_text())
+    assert payload["abs_gap"] <= 6.6 * payload["std_error"]  # the benchmark's bound, the 1e-4 quantile of t(9)
 
 
 @pytest.mark.parametrize("samples, batches", [(20_000, 30_000), (20_005, 10), (20_000, 10_000)])

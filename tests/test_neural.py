@@ -16,8 +16,8 @@ from irskey import (
     TrainConfig,
     channel_statistics,
     dbm_to_mw,
+    NetParams,
     forward,
-    gradient,
     init_params,
     link_gains,
     load_checkpoint,
@@ -33,9 +33,14 @@ from irskey.neural import (
     PARAM_FIELDS,
     normalize_phases,
     normalize_precoder,
-    params_to_vector,
-    vector_to_params,
 )
+
+
+def _params_from(vec, template):
+    """NetParams sized like ``template`` holding a copy of ``vec``."""
+    params = NetParams(template.M, template.L, template.hidden)
+    params.vec = vec
+    return params
 
 
 def _small_system():
@@ -67,7 +72,7 @@ def test_init_params_shapes_and_determinism():
     assert a.Wp.shape == (18, 200) and a.bp.shape == (18,)
     assert a.Wt.shape == (14, 200) and a.bt.shape == (14,)
     npt.assert_array_equal(a.W1, b.W1)
-    npt.assert_array_equal(params_to_vector(a), params_to_vector(b))
+    npt.assert_array_equal(a.vec, b.vec)
     assert a.M == 3 and a.L == 7 and a.hidden == 200
     for name in PARAM_FIELDS:
         assert np.isfinite(getattr(a, name)).all()
@@ -184,16 +189,16 @@ def test_gradient_matches_finite_differences(rng):
     batch = np.column_stack([rng.uniform(5, 15, 3), rng.uniform(5, 15, 3), np.zeros(3)])
     value, grads = loss_and_gradient(params, batch, system)
     assert math.isfinite(value)
-    gvec = params_to_vector(grads)
-    pvec = params_to_vector(params)
+    gvec = grads.vec.copy()
+    pvec = params.vec.copy()
     coords = rng.choice(pvec.size, size=12, replace=False)
     step = 1e-5
     for idx in coords:
         probe = pvec.copy()
         probe[idx] += step
-        up = loss(vector_to_params(probe, params), batch, system)
+        up = loss(_params_from(probe, params), batch, system)
         probe[idx] -= 2 * step
-        down = loss(vector_to_params(probe, params), batch, system)
+        down = loss(_params_from(probe, params), batch, system)
         fd = (up - down) / (2 * step)
         denom = max(abs(fd), abs(gvec[idx]), 1e-8)
         assert abs(gvec[idx] - fd) / denom < 1e-4
@@ -212,17 +217,17 @@ def test_gradient_matches_finite_differences_at_high_snr(power_dbm):
         params = init_params(2, 4, rng)
         batch = np.column_stack([rng.uniform(5, 15, 3), rng.uniform(5, 15, 3), np.zeros(3)])
         _, grads = loss_and_gradient(params, batch, system)
-        gvec = params_to_vector(grads)
-        pvec = params_to_vector(params)
+        gvec = grads.vec.copy()
+        pvec = params.vec.copy()
         steep, flat = 0, 0
         for idx in rng.permutation(pvec.size):
             if steep >= 20 and flat >= 20:
                 break
             probe = pvec.copy()
             probe[idx] += step
-            up = loss(vector_to_params(probe, params), batch, system)
+            up = loss(_params_from(probe, params), batch, system)
             probe[idx] -= 2 * step
-            down = loss(vector_to_params(probe, params), batch, system)
+            down = loss(_params_from(probe, params), batch, system)
             fd = (up - down) / (2 * step)
             if abs(fd) >= 1e-5 and steep < 20:
                 steep += 1
@@ -240,7 +245,7 @@ def test_gradient_of_phase_head_vanishes_without_reflect_path(rng):
     system = dataclasses.replace(_small_system(), alpha_bs_irs=400.0)
     assert link_gains(system, (10.0, 10.0, 0.0))[1] == 0.0
     params = init_params(2, 4, rng)
-    grads = gradient(params, [(10.0, 10.0, 0.0)], system)
+    grads = loss_and_gradient(params, [(10.0, 10.0, 0.0)], system)[1]
     npt.assert_allclose(grads.Wt, 0.0, atol=1e-15)
     npt.assert_allclose(grads.bt, 0.0, atol=1e-15)
     assert np.abs(grads.Wp).max() > 0.0
@@ -251,7 +256,7 @@ def test_gradient_tangent_to_unit_circle(rng):
     # analytic gradient of each (u, v) pair is orthogonal to (u, v)
     system = _small_system()
     params = _bias_only_params(2, 4, rng)
-    grads = gradient(params, [(10.0, 10.0, 0.0)], system)
+    grads = loss_and_gradient(params, [(10.0, 10.0, 0.0)], system)[1]
     u, v = params.bt[:4], params.bt[4:]
     gu, gv = grads.bt[:4], grads.bt[4:]
     radial = u * gu + v * gv
@@ -281,7 +286,7 @@ def test_train_is_seed_deterministic():
     params_a, hist_a = train(cfg, system)
     params_b, hist_b = train(cfg, system)
     assert hist_a == hist_b
-    npt.assert_array_equal(params_to_vector(params_a), params_to_vector(params_b))
+    npt.assert_array_equal(params_a.vec, params_b.vec)
 
 
 def test_train_progress_callback_and_history():
@@ -310,7 +315,7 @@ def test_train_divergence_abort(monkeypatch):
     system = _small_system()
 
     def exploding(params, locations, system_cfg, stats, want_grad):
-        return float("inf"), neural._zero_grads(params)
+        return float("inf"), NetParams(params.M, params.L, params.hidden)
 
     monkeypatch.setattr(neural, "_loss_and_grad", exploding)
     cfg = TrainConfig(epochs=2, samples_per_epoch=100, batch_size=10, seed=0)
@@ -325,16 +330,16 @@ def test_train_non_finite_step_leaves_weights_alone(monkeypatch):
     seen = []
 
     def second_step_fails(params, locations, system_cfg, stats, want_grad):
-        seen.append(params_to_vector(params))
+        seen.append(params.vec.copy())
         if len(seen) == 1:
             return real(params, locations, system_cfg, stats, want_grad)
-        return float("inf"), neural._zero_grads(params)
+        return float("inf"), NetParams(params.M, params.L, params.hidden)
 
     monkeypatch.setattr(neural, "_loss_and_grad", second_step_fails)
     cfg = TrainConfig(epochs=1, samples_per_epoch=20, batch_size=10, seed=0)
     params, history = train(cfg, system)
     assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
-    npt.assert_array_equal(params_to_vector(params), seen[1])
+    npt.assert_array_equal(params.vec, seen[1])
     assert history == [math.inf]
 
 
@@ -368,8 +373,8 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
     def scripted(params, locations, system_cfg, stats, want_grad):
         k = next(steps)
         if k == skipped:
-            return math.inf, neural._zero_grads(params)
-        return 1.0, vector_to_params(grad_vectors[k], params)
+            return math.inf, NetParams(params.M, params.L, params.hidden)
+        return 1.0, _params_from(grad_vectors[k], params)
 
     monkeypatch.setattr(neural, "_loss_and_grad", scripted)
     params, _ = train(cfg, system)
@@ -378,10 +383,10 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
     state = {"m": {}, "v": {}, "t": 0}
     for k, gvec in enumerate(grad_vectors):
         if k != skipped:
-            grads = vector_to_params(gvec, template)
+            grads = _params_from(gvec, template)
             _reference_adam_step(ref, {name: getattr(grads, name) for name in PARAM_FIELDS}, state, cfg)
     want = np.concatenate([ref[name].ravel() for name in PARAM_FIELDS])
-    assert np.array_equal(params_to_vector(params), want)
+    assert np.array_equal(params.vec, want)
 
 
 def test_train_rejects_region_near_the_surface_before_any_step(monkeypatch):
@@ -410,7 +415,7 @@ def test_train_runs_blas_on_one_thread_and_restores_it():
     assert get() == before
     default_params, default_history = train.__wrapped__(cfg, system)
     assert history == default_history
-    npt.assert_array_equal(params_to_vector(params), params_to_vector(default_params))
+    npt.assert_array_equal(params.vec, default_params.vec)
 
     # overlapping trainings (as on the sweep pool): the last one out restores
     barrier = threading.Barrier(2)
@@ -501,7 +506,7 @@ def test_loaded_initialised_and_gradient_params_are_views_of_one_vector(tmp_path
     system = _small_system()
     params = init_params(system.M, system.L, rng)
     _assert_flat_backed(params)
-    _assert_flat_backed(gradient(params, [(10.0, 10.0, 0.0), (8.0, 12.0, 0.0)], system))
+    _assert_flat_backed(loss_and_gradient(params, [(10.0, 10.0, 0.0), (8.0, 12.0, 0.0)], system)[1])
     path = tmp_path / "net.ckpt"
     save_checkpoint(str(path), params)
     loaded, _ = load_checkpoint(str(path))
@@ -518,8 +523,8 @@ def test_loaded_initialised_and_gradient_params_are_views_of_one_vector(tmp_path
 def test_params_to_vector_and_vector_to_params_copy(rng):
     params = init_params(2, 4, rng)
     before = params.vec.copy()
-    vec = params_to_vector(params)
-    back = vector_to_params(vec, params)
+    vec = params.vec.copy()
+    back = _params_from(vec, params)
     vec[:] = 0.0
     npt.assert_array_equal(params.vec, before)
     npt.assert_array_equal(back.vec, before)
@@ -614,8 +619,8 @@ def test_cli_truncated_checkpoint_is_a_config_error(tmp_path, rng):
 
 def test_params_vector_roundtrip(rng):
     params = init_params(3, 9, rng)
-    vec = params_to_vector(params)
-    back = vector_to_params(vec, params)
+    vec = params.vec.copy()
+    back = _params_from(vec, params)
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(back, name), getattr(params, name))
     assert vec.size == sum(getattr(params, n).size for n in PARAM_FIELDS)
