@@ -71,16 +71,17 @@ def _positive_definite(mats: np.ndarray) -> np.ndarray:
         return np.concatenate([_positive_definite(mats[:half]), _positive_definite(mats[half:])])
 
 
-def _mi_bits_from_joint(joint: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Gaussian mutual information (bits) between the first ``m`` coordinates and the rest.
-
-    ``joint`` is their joint covariance; ``m`` defaults to half its size.
-    """
-    m = joint.shape[-1] // 2 if m is None else m
+def _mi_bits_from_joint(joint: np.ndarray, m: int) -> np.ndarray:
+    """Gaussian mutual information (bits) between the first ``m`` coordinates and the rest of ``joint``."""
     ld_a = _logdet_psd(_hermitian_part(joint[..., :m, :m]))
     ld_b = _logdet_psd(_hermitian_part(joint[..., m:, m:]))
     ld_j = _logdet_psd(_hermitian_part(joint))
     return (ld_a + ld_b - ld_j) / _LN2
+
+
+def _rank(sv: np.ndarray, m: int) -> np.ndarray:
+    """Rank of a precoder from its singular values (descending on the last axis): those above M eps s_max."""
+    return np.sum(sv > m * np.finfo(float).eps * sv[..., :1], axis=-1)
 
 
 def _variance(phases: np.ndarray, stats: ChannelStatistics, gains=None):
@@ -223,7 +224,7 @@ def closed_form_bits(
     if doubt.size:
         left, sv, _ = np.linalg.svd(p[doubt])
         weak = sv[:, -1] ** 2 <= tau[doubt] * np.sum(sv**2, axis=-1)  # the certificate's test
-        rank = np.where(weak, np.sum(sv > m * eps * sv[:, :1], axis=-1), 0)  # 0: keep (P = 0 reads 0 bits)
+        rank = np.where(weak, _rank(sv, m), 0)  # 0: keep (P = 0 reads 0 bits)
         for r in np.unique(rank[rank > 0]):
             part = rank == r
             range_ = left[part][..., :r].conj()  # orthonormal basis of the range of P^*
@@ -360,8 +361,10 @@ def skr_monte_carlo(
             f"{per_batch} samples per batch cannot estimate a {2 * design.M}-square covariance"
         )
     m = design.M
+    if not np.isfinite(design.precoder).all():
+        raise NumericalError("precoder has non-finite entries")
     _, sv, vh = np.linalg.svd(design.precoder)
-    rank = int(np.sum(sv > m * np.finfo(float).eps * sv[0]))
+    rank = int(_rank(sv, m))
     streams = rng.spawn(n_batches)
     try:
         with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:

@@ -46,13 +46,6 @@ from irskey.neural import (
 )
 
 
-def _params_from(vec, template):
-    """NetParams sized like ``template`` holding a copy of ``vec``."""
-    params = NetParams(template.M, template.L, template.hidden)
-    params.vec = vec
-    return params
-
-
 _LN2 = math.log(2.0)
 
 
@@ -177,11 +170,12 @@ def test_criterion_05_analytic_gradient_matches_finite_differences():
         for idx in rng.permutation(pvec.size):
             if steep >= 20 and flat >= 20:
                 break
-            probe = pvec.copy()
-            probe[idx] += step
-            up = loss(_params_from(probe, params), batch, system)
-            probe[idx] -= 2 * step
-            down = loss(_params_from(probe, params), batch, system)
+            probe = NetParams(params.M, params.L, params.hidden)
+            probe.vec = pvec
+            probe.vec[idx] += step
+            up = loss(probe, batch, system)
+            probe.vec[idx] -= 2 * step
+            down = loss(probe, batch, system)
             fd = (up - down) / (2 * step)
             if abs(fd) >= 1e-5 and steep < 20:
                 steep += 1
@@ -207,7 +201,8 @@ def test_criterion_06_forward_output_always_feasible():
         budget = system.power_a * system.M
         for _ in range(5000):
             scale = 10.0 ** rng.uniform(-3, 1)
-            params = _params_from(scale * rng.standard_normal(n), template)
+            params = NetParams(template.M, template.L, template.hidden)
+            params.vec = scale * rng.standard_normal(n)
             loc = (rng.uniform(0, 30), rng.uniform(0, 30), 0.0)
             design = forward(params, loc, system)
             assert np.abs(np.abs(design.phases) - 1.0).max() <= 1e-9

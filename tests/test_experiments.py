@@ -585,14 +585,15 @@ def test_cli_power_sweep_past_float_range_is_a_numerical_failure(tmp_path, capsy
     assert len(err) == 1 and err[0].startswith("numerical failure: water-filling")
 
 
-@pytest.mark.parametrize("argv", [["skr"], ["skr", "--method", "random"], ["baseline"], ["mc-check"]])
+@pytest.mark.parametrize("argv", [["skr"], ["skr", "--method", "random"], ["baseline"], ["mc-check"], ["train"]])
 @pytest.mark.parametrize(
     "line, named",
     [("pos_ue_m = 1e300, 0, 0", "BS-UE distance"), ("ref_dist_m = 1e-300", "BS-UE link gain")],
 )
 def test_cli_out_of_range_geometry_is_a_config_error_naming_the_link(tmp_path, capsys, argv, line, named):
     # the distance overflowed with a RuntimeWarning, or every gain underflowed to 0, and the
-    # error blamed the powers; the random method printed 0 bits and exited 0
+    # error blamed the powers; the random method printed 0 bits and exited 0. train checks
+    # pos_ue as well, though its batches draw their positions from ue_region
     cfg = tmp_path / "geometry.ini"
     cfg.write_text(f"[system]\n{line}\n")
     with warnings.catch_warnings():

@@ -36,13 +36,6 @@ from irskey.neural import (
 )
 
 
-def _params_from(vec, template):
-    """NetParams sized like ``template`` holding a copy of ``vec``."""
-    params = NetParams(template.M, template.L, template.hidden)
-    params.vec = vec
-    return params
-
-
 def _small_system():
     return SystemConfig(M=2, L_h=2, L_v=2)
 
@@ -194,11 +187,12 @@ def test_gradient_matches_finite_differences(rng):
     coords = rng.choice(pvec.size, size=12, replace=False)
     step = 1e-5
     for idx in coords:
-        probe = pvec.copy()
-        probe[idx] += step
-        up = loss(_params_from(probe, params), batch, system)
-        probe[idx] -= 2 * step
-        down = loss(_params_from(probe, params), batch, system)
+        probe = NetParams(params.M, params.L, params.hidden)
+        probe.vec = pvec
+        probe.vec[idx] += step
+        up = loss(probe, batch, system)
+        probe.vec[idx] -= 2 * step
+        down = loss(probe, batch, system)
         fd = (up - down) / (2 * step)
         denom = max(abs(fd), abs(gvec[idx]), 1e-8)
         assert abs(gvec[idx] - fd) / denom < 1e-4
@@ -223,11 +217,12 @@ def test_gradient_matches_finite_differences_at_high_snr(power_dbm):
         for idx in rng.permutation(pvec.size):
             if steep >= 20 and flat >= 20:
                 break
-            probe = pvec.copy()
-            probe[idx] += step
-            up = loss(_params_from(probe, params), batch, system)
-            probe[idx] -= 2 * step
-            down = loss(_params_from(probe, params), batch, system)
+            probe = NetParams(params.M, params.L, params.hidden)
+            probe.vec = pvec
+            probe.vec[idx] += step
+            up = loss(probe, batch, system)
+            probe.vec[idx] -= 2 * step
+            down = loss(probe, batch, system)
             fd = (up - down) / (2 * step)
             if abs(fd) >= 1e-5 and steep < 20:
                 steep += 1
@@ -374,7 +369,9 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
         k = next(steps)
         if k == skipped:
             return math.inf, NetParams(params.M, params.L, params.hidden)
-        return 1.0, _params_from(grad_vectors[k], params)
+        grads = NetParams(params.M, params.L, params.hidden)
+        grads.vec = grad_vectors[k]
+        return 1.0, grads
 
     monkeypatch.setattr(neural, "_loss_and_grad", scripted)
     params, _ = train(cfg, system)
@@ -383,7 +380,8 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
     state = {"m": {}, "v": {}, "t": 0}
     for k, gvec in enumerate(grad_vectors):
         if k != skipped:
-            grads = _params_from(gvec, template)
+            grads = NetParams(template.M, template.L, template.hidden)
+            grads.vec = gvec
             _reference_adam_step(ref, {name: getattr(grads, name) for name in PARAM_FIELDS}, state, cfg)
     want = np.concatenate([ref[name].ravel() for name in PARAM_FIELDS])
     assert np.array_equal(params.vec, want)
@@ -520,11 +518,12 @@ def test_loaded_initialised_and_gradient_params_are_views_of_one_vector(tmp_path
     _assert_flat_backed(params)
 
 
-def test_params_to_vector_and_vector_to_params_copy(rng):
+def test_vec_copy_and_vec_assignment_do_not_alias(rng):
     params = init_params(2, 4, rng)
     before = params.vec.copy()
     vec = params.vec.copy()
-    back = _params_from(vec, params)
+    back = NetParams(params.M, params.L, params.hidden)
+    back.vec = vec
     vec[:] = 0.0
     npt.assert_array_equal(params.vec, before)
     npt.assert_array_equal(back.vec, before)
@@ -620,7 +619,8 @@ def test_cli_truncated_checkpoint_is_a_config_error(tmp_path, rng):
 def test_params_vector_roundtrip(rng):
     params = init_params(3, 9, rng)
     vec = params.vec.copy()
-    back = _params_from(vec, params)
+    back = NetParams(params.M, params.L, params.hidden)
+    back.vec = vec
     for name in PARAM_FIELDS:
         npt.assert_array_equal(getattr(back, name), getattr(params, name))
     assert vec.size == sum(getattr(params, n).size for n in PARAM_FIELDS)

@@ -232,7 +232,7 @@ def test_closed_form_equals_joint_with_any_unitary_downlink_pilot(m, side, eta, 
         [cfg.power_b * r_z + cfg.noise * (p.T @ p.conj()), cross],
         [cross.conj().T, r_z + cfg.noise * (pilot.T @ pilot.conj())],
     ])
-    want = float(_mi_bits_from_joint(joint))
+    want = float(_mi_bits_from_joint(joint, joint.shape[-1] // 2))
     got = closed_form_bits(p[None], theta[None], stats, cfg.power_b, cfg.noise)[0]
     assert abs(got - want) <= 1e-10 * max(want, 1.0)
 

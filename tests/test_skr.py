@@ -317,7 +317,7 @@ def test_approximate_equals_determinant_form(reference_stats, rng):
         cross = math.sqrt(power_b) * r_z
         joint = np.block([[power_b * r_z + noise * power_a * np.eye(4), cross],
                           [cross.conj().T, r_z + noise * np.eye(4)]])
-        want = float(_mi_bits_from_joint(joint))
+        want = float(_mi_bits_from_joint(joint, joint.shape[-1] // 2))
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -391,6 +391,17 @@ def test_monte_carlo_rejects_non_finite_estimates(small_stats, rng):
     for power_b, noise in ((10.0, math.nan), (math.nan, 1e-9), (10.0, math.inf)):
         with pytest.raises(NumericalError, match="not finite"):
             skr_monte_carlo(des, small_stats, power_b, noise, 20_000, np.random.default_rng(0))
+
+
+def test_monte_carlo_rejects_non_finite_precoder(small_stats, rng):
+    # the rank is read off the precoder's SVD, which does not converge on NaN or inf
+    des = _random_design(2, 4, rng)
+    for bad in (math.nan, math.inf):
+        precoder = des.precoder.copy()
+        precoder[1, 0] = bad
+        with pytest.raises(NumericalError, match="precoder has non-finite entries"):
+            skr_monte_carlo(ProbeDesign(precoder=precoder, phases=des.phases), small_stats, 10.0, 1e-9,
+                            20_000, np.random.default_rng(0))
 
 
 def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
