@@ -1,11 +1,13 @@
-"""OpenBLAS thread-count control for code that runs its own threads or tiny products."""
+"""OpenBLAS thread-count control, and the thread pool for sweep points and Monte Carlo batches."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 
 @functools.cache
@@ -36,7 +38,7 @@ def single_blas_thread():
 
     Used where the products are too small to gain from splitting over cores
     (a training step) or where the caller already runs one thread per core
-    (Monte Carlo batches); OpenBLAS threads would only spin or oversubscribe.
+    (``parallel_map``); OpenBLAS threads would only spin or oversubscribe.
     Blocks may overlap across threads: the first one in saves the count and
     the last one out restores it.
     """
@@ -55,3 +57,17 @@ def single_blas_thread():
             if _users == 0:
                 put(_saved)
                 _saved = None
+
+
+def parallel_map(fn, items, workers=None):
+    """``[fn(x) for x in items]`` on ``workers`` threads, with OpenBLAS on one thread.
+
+    By default one thread per item, up to the CPUs this process may use (its
+    affinity mask where the platform has one). Results keep item order; the
+    first failure in item order propagates and cancels the items not started.
+    """
+    if workers is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(len(items), cpus)
+    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))

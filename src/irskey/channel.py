@@ -97,6 +97,11 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be positive in linear scale")
         if self.ref_dist <= 0.0:
             raise ConfigError("reference distance must be positive")
+        if self.ref_loss_db > 0.0:  # with every distance at least ref_dist, no gain then exceeds 1
+            raise ConfigError(f"ref_loss_db must be <= 0 dB (a link cannot amplify), got {self.ref_loss_db}")
+        for name in ("alpha_direct", "alpha_bs_irs", "alpha_irs_ue"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0 (a gain cannot grow with distance), got {getattr(self, name)}")
 
     @property
     def L(self) -> int:

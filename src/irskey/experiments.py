@@ -6,13 +6,12 @@ import csv
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import neural
-from ._blas import single_blas_thread
+from ._blas import parallel_map
 from .baseline import baseline_design
 from .channel import (
     _SYSTEM_KEYS,
@@ -235,33 +234,18 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every (value, method) pair at the configured UE position.
 
-    Sweep points are independent: each gets its own statistics and its own
-    derived random stream, so results never depend on evaluation order. Points
-    run on a small thread pool (at most one thread per CPU and per point) and
-    rows are assembled in spec order. The pool runs OpenBLAS on one thread:
-    it already keeps the cores busy and a point's products are small. A serial
-    run (one point, one CPU or ``max_workers=1``) keeps the caller's BLAS
-    thread count. The random method averages ``spec.trials`` draws; the neural
-    method loads a per-(M, L) checkpoint from ``checkpoint_dir`` when given,
-    otherwise trains inline with a per-point derived seed.
+    Points run through ``parallel_map`` (``max_workers`` threads when given),
+    each with its own statistics and derived random stream, so the rows, in
+    spec order, do not depend on the pool size. The random method averages
+    ``spec.trials`` draws; the neural method loads a per-(M, L) checkpoint
+    from ``checkpoint_dir`` when given, else trains inline on a derived seed.
     """
     if train_config is None:
         train_config = neural.TrainConfig()
     configs = [_override(base_config, spec.variable, value) for value in spec.values]  # reject bad points first
-    n_points = len(spec.values)
-    workers = max_workers if max_workers is not None else min(n_points, os.cpu_count() or 1)
-    if workers <= 1 or n_points == 1:
-        per_point = [
-            _evaluate_point(spec, configs[i], i, train_config, checkpoint_dir)
-            for i in range(n_points)
-        ]
-    else:
-        with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_evaluate_point, spec, configs[i], i, train_config, checkpoint_dir)
-                for i in range(n_points)
-            ]
-            per_point = [f.result() for f in futures]
+    per_point = parallel_map(
+        lambda i: _evaluate_point(spec, configs[i], i, train_config, checkpoint_dir), range(len(configs)), max_workers
+    )
     rows = [row for point_rows in per_point for row in point_rows]
     return SweepResult(rows=tuple(rows))
 

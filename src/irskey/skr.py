@@ -11,13 +11,11 @@ on sample covariances.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_blas_thread
+from ._blas import parallel_map
 from .channel import ChannelStatistics, _complex_normal, _hermitian_part
 from .errors import ConfigError, NumericalError
 from .probing import ProbeDesign, dft_pilot
@@ -154,8 +152,9 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     otherwise both are None.
     """
     s = var[..., None] * lam
+    den = power_b * s + noise
     d1 = s / noise
-    d2 = s / (power_b * s + noise)
+    d2 = s / den
     eye = np.eye(a.shape[-1])
     a_h = np.swapaxes(a, -1, -2).conj()
     k1 = eye + a_h @ (d1[..., None] * a)
@@ -169,7 +168,7 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     g_a = d1[..., None] * x1 - d2[..., None] * x2
     w1 = np.sum(x1 * a.conj(), axis=-1).real  # diagonals of A T_i A^H
     w2 = np.sum(x2 * a.conj(), axis=-1).real
-    g_var = np.sum(lam * (w1 / noise - noise * w2 / (power_b * s + noise) ** 2), axis=-1)
+    g_var = np.sum(lam * (w1 / noise - w2 * (noise / den) / den), axis=-1)  # den**2 may overflow
     return nats, magnitude, g_a, g_var
 
 
@@ -338,16 +337,15 @@ def skr_monte_carlo(
     """Estimate the SKR by simulating probing rounds and plugging in sample covariances.
 
     ``n_samples`` must split evenly over ``n_batches`` independent child
-    streams, with at least 2M samples in each. Batches run on a thread pool
-    (at most one thread per CPU and per batch) with OpenBLAS on one thread,
-    and their moments are combined in batch order, so the result does not
-    depend on the pool size. The point estimate uses the pooled sample
-    covariance; the standard error is the batch-means estimate, so it shrinks
-    like 1/sqrt(n_samples). Only the covariance is simulated: the estimate is
-    the Gaussian formula at the sample covariance, which does not test whether
-    the observations are Gaussian. y_a = P^T u lies in the range of P^T, so a
-    precoder of rank r < M (singular values at or below M eps s_max dropped,
-    as in the closed form) is observed through y_a's r coordinates there.
+    streams, with at least 2M samples in each. Batches run through
+    ``parallel_map`` and their moments are combined in batch order, so the
+    result does not depend on the pool size. The point estimate uses the
+    pooled sample covariance; the standard error is the batch-means
+    estimate, so it shrinks like 1/sqrt(n_samples). Only the covariance is
+    simulated: the Gaussian formula at the sample covariance does not test
+    whether the observations are Gaussian. y_a = P^T u lies in the range of
+    P^T, so a precoder of rank r < M (singular values at or below M eps
+    s_max dropped) is observed through y_a's r coordinates there.
     """
     if n_samples < 10_000:
         raise ConfigError(f"Monte Carlo needs at least 10000 samples, got {n_samples}")
@@ -365,12 +363,10 @@ def skr_monte_carlo(
         raise NumericalError("precoder has non-finite entries")
     _, sv, vh = np.linalg.svd(design.precoder)
     rank = int(_rank(sv, m))
-    streams = rng.spawn(n_batches)
     try:
-        with single_blas_thread(), ThreadPoolExecutor(min(n_batches, os.cpu_count() or 1)) as pool:
-            moments = list(
-                pool.map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
-            )
+        moments = parallel_map(
+            lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), rng.spawn(n_batches)
+        )
     except MemoryError as exc:
         raise ConfigError(
             f"{n_samples} Monte Carlo samples ({per_batch} per batch) do not fit in memory"
@@ -385,9 +381,7 @@ def skr_monte_carlo(
         try:
             batch_bits[b] = _mi_bits_from_joint(moment / per_batch, rank)
         except NumericalError as exc:
-            raise NumericalError(
-                f"singular sample covariance in batch {b}; increase n_samples"
-            ) from exc
+            raise NumericalError(f"sample covariance of batch {b} is singular in float64 at this SNR") from exc
     bits = float(_mi_bits_from_joint(sum(moments) / n_samples, rank))
     std_error = float(np.std(batch_bits, ddof=1) / np.sqrt(n_batches))
     if not (math.isfinite(bits) and math.isfinite(std_error)):

@@ -10,34 +10,41 @@ designs, rank-deficient at low SNR, are checked against their per-mode rates.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from irskey import SystemConfig, channel_statistics, dbm_to_mw, effective_variance
 from irskey.baseline import waterfill_design
-from irskey.skr import closed_form_bits
+from irskey.skr import _whitened_mi, closed_form_bits
 
 mp = pytest.importorskip("mpmath")
 
 
+def _exact_nats(p, var, r_bs, power_b, noise):
+    """MI in nats at effective variance ``var``, in the working mpmath precision."""
+    m = p.shape[0]
+    prec = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in p])
+    r_bs = mp.matrix(r_bs.tolist())
+    power_b, noise = mp.mpf(power_b), mp.mpf(noise)
+    r_z = var * (prec.T * r_bs * prec.conjugate())
+    r_a = power_b * r_z + noise * (prec.T * prec.conjugate())
+    r_b = r_z + noise * mp.eye(m)
+    cross = mp.sqrt(power_b) * r_z
+    joint = mp.zeros(2 * m)
+    for i in range(m):
+        for j in range(m):
+            joint[i, j], joint[m + i, m + j] = r_a[i, j], r_b[i, j]
+            joint[i, m + j], joint[m + i, j] = cross[i, j], mp.conj(cross[j, i])
+    logdet = lambda mat: mp.re(mp.log(mp.det(mat)))
+    return logdet(r_a) + logdet(r_b) - logdet(joint)
+
+
 def _exact_bits(p, phases, stats, power_b, noise):
     with mp.workdps(60):
-        m = p.shape[0]
-        prec = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in p])
-        r_bs = mp.matrix(stats.R_bs.tolist())
-        power_b, noise = mp.mpf(power_b), mp.mpf(noise)
-        r_z = mp.mpf(effective_variance(phases, stats)) * (prec.T * r_bs * prec.conjugate())
-        r_a = power_b * r_z + noise * (prec.T * prec.conjugate())
-        r_b = r_z + noise * mp.eye(m)
-        cross = mp.sqrt(power_b) * r_z
-        joint = mp.zeros(2 * m)
-        for i in range(m):
-            for j in range(m):
-                joint[i, j], joint[m + i, m + j] = r_a[i, j], r_b[i, j]
-                joint[i, m + j], joint[m + i, j] = cross[i, j], mp.conj(cross[j, i])
-        logdet = lambda mat: mp.re(mp.log(mp.det(mat)))
-        return float((logdet(r_a) + logdet(r_b) - logdet(joint)) / mp.log(2))
+        var = mp.mpf(effective_variance(phases, stats))
+        return float(_exact_nats(p, var, stats.R_bs, power_b, noise) / mp.log(2))
 
 
 def _unitary(rng, m):
@@ -93,3 +100,25 @@ def test_water_filling_design_equals_its_per_mode_rate(eta, power_dbm):
                 nats += mp.log((power_b * s + noise) * (gain * s + noise) / (noise * (gain * s + power_b * s + noise)))
         want = float(nats / mp.log(2))
     assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("noise_dbm", [-90.0, 3000.0])
+def test_variance_gradient_matches_the_exact_derivative(noise_dbm):
+    # at N = 1e300 mW, (p_b s + N)**2 overflowed with a RuntimeWarning, so the
+    # second term read 0 and dMI/dvar read ~1e-299; the exact value, ~1e-600,
+    # is 0 in float64. Each logdet carries ~M|ln N| nats, so the reference
+    # needs some 700 digits to resolve the difference there
+    cfg = SystemConfig(M=2, L_h=2, L_v=2, noise=dbm_to_mw(noise_dbm))
+    stats = channel_statistics(cfg)
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    var = effective_variance(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L)), stats)
+    lam, basis = stats.R_bs_eigh
+    a = basis.conj().T @ p.conj()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _whitened_mi(a[None], lam, np.array([var]), cfg.power_b, cfg.noise, want_grad=True)[3][0]
+    with mp.workdps(1400):
+        want = mp.diff(lambda v: _exact_nats(p, v, stats.R_bs, cfg.power_b, cfg.noise), mp.mpf(var))
+    scale = float(np.sum(lam * np.sum(np.abs(a) ** 2, axis=-1))) / cfg.noise  # each term's size bound
+    assert abs(got - float(want)) <= 1e-12 * scale
