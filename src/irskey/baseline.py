@@ -186,6 +186,8 @@ def waterfill(
         raise NumericalError(f"water-filling divides by 0 at SNR terms a = {a:.3e}, b = {b:.3e}") from exc
     options.append(([m * p[0]] + [0.0] * (m - 1), _marginal_nats(m * p[0], a, b) * p[0]))
     options = [option for option in options if option is not None]
+    if not all(math.isfinite(x) for q, mu in options for x in [*q, mu]):
+        raise NumericalError(f"water-filling overflows at SNR terms a = {a:.3e}, b = {b:.3e}")
     modes = per_mode_objective(np.array([q for q, _ in options]), var, power_a, power_b, noise)
     scored = [(sum(row.tolist()), q, mu) for row, (q, mu) in zip(modes, options)]
     obj, q, mu_nats = max(scored, key=lambda option: option[0])  # first of equals: most modes

@@ -231,8 +231,13 @@ def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix square root requires a square matrix")
     mat = _hermitian_part(mat, tol)
+    return _eigh_sqrt(np.linalg.eigh(mat), mat, tol)
+
+
+def _eigh_sqrt(eigh: tuple[np.ndarray, np.ndarray], mat: np.ndarray, tol: float) -> np.ndarray:
+    """PSD square root of ``mat`` from its eigendecomposition (ascending eigenvalues, eigenvectors)."""
+    w, v = eigh
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    w, v = np.linalg.eigh(mat)
     if w.min() < -tol * scale:
         raise NumericalError(f"matrix is indefinite (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
@@ -262,7 +267,8 @@ class ChannelStatistics:
 
     @cached_property
     def R_bs_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.R_bs)
+        """PSD square root of R_bs, from ``R_bs_eigh`` so that R_bs is judged Hermitian once."""
+        return _eigh_sqrt(self.R_bs_eigh, self.R_bs, 1e-10)
 
     @cached_property
     def R_bs_eigh(self) -> tuple[np.ndarray, np.ndarray]:

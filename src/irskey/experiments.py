@@ -37,7 +37,6 @@ __all__ = [
     "random_design_bits",
     "run_sweep",
     "write_csv",
-    "read_csv",
     "write_plot_script",
     "load_experiment_config",
     "checkpoint_name",
@@ -272,31 +271,6 @@ def write_csv(result: SweepResult, path: str) -> None:
                 )
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
-
-
-def read_csv(path: str) -> SweepResult:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER.split(","):
-                raise ConfigError(f"unexpected CSV header in {path}: {header}")
-            rows = []
-            for rec in reader:
-                if len(rec) != 5:
-                    raise ConfigError(f"malformed CSV row in {path}: {rec}")
-                rows.append(
-                    SweepRow(
-                        variable=rec[0],
-                        value=float(rec[1]),
-                        method=rec[2],
-                        skr_bits=float(rec[3]),
-                        std_error=None if rec[4] == "" else float(rec[4]),
-                    )
-                )
-    except OSError as exc:
-        raise OSError(f"cannot read sweep CSV from {path}: {exc}") from exc
-    return SweepResult(rows=tuple(rows))
 
 
 _PLOT_TEMPLATE = '''"""Plot SKR sweep results (generated file; requires matplotlib)."""

@@ -1,4 +1,4 @@
-"""Probing round: precoder/phase designs, pilots, and the two observations."""
+"""Probing round: precoder/phase designs and the two observations."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from .errors import ConfigError
 
 __all__ = [
     "ProbeDesign",
-    "ProbeObservation",
     "dft_pilot",
     "combined_channel",
     "uplink_probe",
     "downlink_probe",
-    "probe_pair",
     "validate_design",
 ]
 
@@ -65,7 +63,7 @@ def validate_design(design: ProbeDesign, power_a: float, mod_tol: float = 1e-9, 
 
 
 def dft_pilot(M: int) -> np.ndarray:
-    """Unitary DFT matrix used as the default downlink pilot."""
+    """Unitary DFT matrix, the downlink pilot."""
     k = np.arange(M)
     return np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
 
@@ -75,70 +73,19 @@ def combined_channel(realization: ChannelRealization, design: ProbeDesign) -> np
     return realization.h + realization.G @ (design.phases * realization.f)
 
 
-def uplink_probe(
-    realization: ChannelRealization,
-    design: ProbeDesign,
-    noise_a: np.ndarray,
-    power_b: float,
-    pilot_u: complex = 1.0 + 0.0j,
-) -> np.ndarray:
-    """BS-side observation: sqrt(power_b) P^T c + P^T n_a conj(pilot_u).
+def uplink_probe(channel: np.ndarray, precoder: np.ndarray, noise_a: np.ndarray, power_b: float) -> np.ndarray:
+    """BS-side observations sqrt(power_b) P^T c + P^T n_a, one probing round per row.
 
-    ``pilot_u`` is the UE pilot symbol and must have unit modulus, so the
-    least-squares step only rotates the noise.
+    ``channel`` holds combined channels c in rows [..., M] (a 1-D ``channel``
+    is one round) and ``noise_a`` the matching BS noise. The UE sends the
+    unit pilot symbol, so the least-squares step leaves the noise as P^T n_a.
     """
-    if abs(abs(pilot_u) - 1.0) > 1e-9:
-        raise ConfigError("uplink pilot symbol must have unit modulus")
-    c = combined_channel(realization, design)
-    Pt = design.precoder.T
-    return np.sqrt(power_b) * (Pt @ c) + (Pt @ noise_a) * np.conj(pilot_u)
+    return np.sqrt(power_b) * (channel @ precoder) + noise_a @ precoder
 
 
-def downlink_probe(
-    realization: ChannelRealization,
-    design: ProbeDesign,
-    noise_b: np.ndarray,
-    pilot_d: np.ndarray | None = None,
-) -> np.ndarray:
-    """UE-side observation after pilot removal: P^T c + pilot_d^T n_b.
+def downlink_probe(channel: np.ndarray, precoder: np.ndarray, noise_b: np.ndarray) -> np.ndarray:
+    """UE-side observations after removing the DFT pilot S_d: P^T c + S_d^T n_b, one round per row.
 
-    ``pilot_d`` defaults to the unitary DFT matrix; any unitary pilot leaves
-    the noise white.
+    Rows as in ``uplink_probe``. S_d is unitary, so the noise stays white.
     """
-    M = design.M
-    Sd = dft_pilot(M) if pilot_d is None else np.asarray(pilot_d)
-    if Sd.shape != (M, M):
-        raise ConfigError(f"downlink pilot must be {M}x{M}, got {Sd.shape}")
-    gap = np.abs(Sd.conj().T @ Sd - np.eye(M)).max()
-    if gap > 1e-9:
-        raise ConfigError(f"downlink pilot matrix is not unitary (deviation {gap:.3e})")
-    c = combined_channel(realization, design)
-    return design.precoder.T @ c + Sd.T @ noise_b
-
-
-@dataclass(frozen=True)
-class ProbeObservation:
-    """The matched observation pair of one probing round."""
-
-    y_a: np.ndarray  # (M,) BS side
-    y_b: np.ndarray  # (M,) UE side
-
-
-def probe_pair(
-    realization: ChannelRealization,
-    design: ProbeDesign,
-    noise_a: np.ndarray,
-    noise_b: np.ndarray,
-    power_b: float,
-    pilot_u: complex = 1.0 + 0.0j,
-    pilot_d: np.ndarray | None = None,
-) -> ProbeObservation:
-    """Run both probing directions on the same realization.
-
-    With zero noise the two sides observe the same P^T c up to the
-    sqrt(power_b) uplink scaling.
-    """
-    return ProbeObservation(
-        y_a=uplink_probe(realization, design, noise_a, power_b, pilot_u),
-        y_b=downlink_probe(realization, design, noise_b, pilot_d),
-    )
+    return channel @ precoder + noise_b @ dft_pilot(precoder.shape[0])

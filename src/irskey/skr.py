@@ -18,7 +18,7 @@ import numpy as np
 from ._blas import parallel_map
 from .channel import ChannelStatistics, _complex_normal, _hermitian_part
 from .errors import ConfigError, NumericalError
-from .probing import ProbeDesign, dft_pilot
+from .probing import ProbeDesign, downlink_probe, uplink_probe
 
 __all__ = [
     "SkrReport",
@@ -305,7 +305,8 @@ def _batch_second_moment(
     noise, but never forms G = R_bs^1/2 g R_irs^1/2: per round, in row form,
     h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with
     v = (phases o (f_iid R_irs^1/2^T)) R_irs^1/2^T, and g stays as its real
-    and imaginary blocks.
+    and imaginary blocks. The rows c of combined channels then go through
+    ``uplink_probe`` and ``downlink_probe``.
     """
     m, l = stats.M, stats.L
     h_iid = _complex_normal(rng, n * m, stats.beta_direct).reshape(n, m)
@@ -318,9 +319,9 @@ def _batch_second_moment(
     v = np.sqrt(stats.beta_bs_irs / 2.0) * ((design.phases * (f_iid @ r_irs)) @ r_irs)
     gv_re = np.einsum("nml,nl->nm", g_re, v.real) - np.einsum("nml,nl->nm", g_im, v.imag)
     gv_im = np.einsum("nml,nl->nm", g_re, v.imag) + np.einsum("nml,nl->nm", g_im, v.real)
-    signal = ((h_iid + gv_re + 1j * gv_im) @ stats.R_bs_sqrt.T) @ design.precoder  # P^T c per round
-    y_a = np.sqrt(power_b) * signal + noise_a @ design.precoder
-    y_b = signal + noise_b @ dft_pilot(m)
+    c = (h_iid + gv_re + 1j * gv_im) @ stats.R_bs_sqrt.T
+    y_a = uplink_probe(c, design.precoder, noise_a, power_b)
+    y_b = downlink_probe(c, design.precoder, noise_b)
     z = np.concatenate([y_a, y_b], axis=1)
     return z.T @ z.conj()
 

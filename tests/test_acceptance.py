@@ -283,8 +283,9 @@ def test_criterion_09_reciprocity_and_compact_channel_form():
         real = sample_realization(stats, rng)
         design = random_design(cfg, rng)
         power_b = 10.0 ** float(rng.uniform(-1, 2))
-        y_a = uplink_probe(real, design, np.zeros(m), power_b)
-        y_b = downlink_probe(real, design, np.zeros(m))
+        c = combined_channel(real, design)
+        y_a = uplink_probe(c, design.precoder, np.zeros(m), power_b)
+        y_b = downlink_probe(c, design.precoder, np.zeros(m))
         npt.assert_allclose(y_a, math.sqrt(power_b) * y_b, atol=1e-10)
         sel = np.kron(design.phases_ext[None, :], np.eye(m))
         npt.assert_allclose(combined_channel(real, design), sel @ real.cascade, atol=1e-10)

@@ -256,3 +256,10 @@ def test_asymmetric_antenna_correlation_fails_waterfilling_and_the_loss(monkeypa
     params = init_params(system.M, system.L, rng)
     with pytest.raises(NumericalError, match="Hermitian"):
         neural.loss(params, [(10.0, 10.0, 0.0)], system)
+
+
+def test_waterfill_overflow_names_the_snr_terms():
+    # a b q overflows in the marginal utility, so candidates read inf / inf =
+    # NaN: water-filling names a and b instead of returning NaN mode powers
+    with pytest.raises(NumericalError, match=r"water-filling overflows at SNR terms a = 9\.560e\+00, b = 9\.560e\+299"):
+        waterfill(_stats(0.5), 1.0, 9.56e299, 9.56, 1.0)

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -25,7 +26,6 @@ from irskey import (
     load_experiment_config,
     per_mode_objective,
     random_design,
-    read_csv,
     run_sweep,
     skr_closed_form,
     validate_design,
@@ -279,19 +279,28 @@ def test_write_csv_header_and_cells(tmp_path):
     assert len(lines) == 5
 
 
+def _read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["variable", "value", "method", "skr_bits", "std_error"]
+        return tuple(
+            SweepRow(var, float(value), method, float(bits), None if err == "" else float(err))
+            for var, value, method, bits, err in reader
+        )
+
+
 def test_csv_roundtrip_identity(tmp_path):
     path = tmp_path / "sweep.csv"
     result = _sample_result()
     write_csv(result, str(path))
-    back = read_csv(str(path))
-    assert back.rows == result.rows
+    assert _read_rows(path) == result.rows
 
 
 def test_empty_result_gives_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(SweepResult(rows=()), str(path))
     assert path.read_text() == "variable,value,method,skr_bits,std_error\n"
-    assert read_csv(str(path)).rows == ()
+    assert _read_rows(path) == ()
 
 
 def test_csv_bytes_deterministic(tmp_path):
@@ -299,13 +308,6 @@ def test_csv_bytes_deterministic(tmp_path):
     write_csv(_sample_result(), str(p1))
     write_csv(_sample_result(), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_read_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError):
-        read_csv(str(path))
 
 
 def test_plot_script_is_valid_python_with_data(tmp_path):
@@ -561,16 +563,22 @@ def test_cli_absurd_power_is_a_numerical_failure(tmp_path, capsys, verb, power_a
 @pytest.mark.parametrize("verb", ["skr", "baseline", "mc-check"])
 @pytest.mark.parametrize(
     "line",
-    ["ref_loss_db = -2000", "noise_dbm = 3000", "noise_dbm = -3000", "power_a_dbm = -3000", "power_b_dbm = -3000"],
+    [
+        "ref_loss_db = -2000", "noise_dbm = 3000", "noise_dbm = -3000", "power_a_dbm = -3000",
+        "power_b_dbm = -3000", "power_a_dbm = 3000",
+    ],
 )
 def test_cli_waterfill_past_float_range_is_a_numerical_failure(tmp_path, capsys, verb, line):
-    # a*b under- or overflows, or a and b lie ~300 decades apart: the solve divided by 0 (a traceback)
+    # a*b under- or overflows, or a and b lie ~300 decades apart: the solve divides by 0 or,
+    # at power_a_dbm = 3000, its candidates overflow to NaN. A random design does not
+    # water-fill and still gets a rate
     cfg = tmp_path / "snr.ini"
     cfg.write_text(f"[system]\n{line}\n")
     assert cli.main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: water-filling")
     assert "a = " in err[0] and "b = " in err[0]
+    assert cli.main(["skr", "--method", "random", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_power_sweep_past_float_range_is_a_numerical_failure(tmp_path, capsys):

@@ -11,7 +11,6 @@ from irskey import (
     combined_channel,
     dft_pilot,
     downlink_probe,
-    probe_pair,
     sample_realization,
     uplink_probe,
     validate_design,
@@ -107,7 +106,7 @@ def test_uplink_probe_noiseless_identity_precoder(rng):
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     real = _manual_realization(h, G, f)
     des = ProbeDesign(precoder=np.eye(2, dtype=complex), phases=np.ones(3, dtype=complex))
-    y = uplink_probe(real, des, noise_a=np.zeros(2), power_b=4.0)
+    y = uplink_probe(combined_channel(real, des), des.precoder, noise_a=np.zeros(2), power_b=4.0)
     npt.assert_allclose(y, 2.0 * (h + G @ f), atol=1e-12)
 
 
@@ -115,19 +114,8 @@ def test_uplink_probe_noise_enters_through_precoder(rng):
     real = _manual_realization(np.zeros(2), np.zeros((2, 3)), np.zeros(3))
     des = _random_design(2, 3, rng)
     noise = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = uplink_probe(real, des, noise_a=noise, power_b=9.0)
+    y = uplink_probe(combined_channel(real, des), des.precoder, noise_a=noise, power_b=9.0)
     npt.assert_allclose(y, des.precoder.T @ noise, atol=1e-12)
-
-
-def test_uplink_probe_pilot_conjugation(rng):
-    # a unit pilot rotates the noise term by its conjugate, not the signal
-    real = _manual_realization(np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-    des = ProbeDesign(precoder=np.eye(1, dtype=complex), phases=np.ones(1, dtype=complex))
-    pilot = np.exp(1j * 0.3)
-    y = uplink_probe(real, des, noise_a=np.array([1.0 + 0.0j]), power_b=1.0, pilot_u=pilot)
-    npt.assert_allclose(y, [np.conj(pilot)], atol=1e-14)
-    with pytest.raises(ConfigError):
-        uplink_probe(real, des, noise_a=np.zeros(1), power_b=1.0, pilot_u=2.0)
 
 
 def test_uplink_noise_covariance_matches_model(small_stats, rng):
@@ -140,7 +128,7 @@ def test_uplink_noise_covariance_matches_model(small_stats, rng):
     emp = ys.T @ ys.conj() / n
     model = var * des.precoder.T @ des.precoder.conj()
     assert np.abs(emp - model).max() / np.abs(model).max() < 0.03
-    one = uplink_probe(real, des, noise_a=noise[0], power_b=1.0)
+    one = uplink_probe(combined_channel(real, des), des.precoder, noise_a=noise[0], power_b=1.0)
     npt.assert_allclose(one, noise[0] @ des.precoder, atol=1e-12)
 
 
@@ -148,24 +136,10 @@ def test_downlink_probe_noiseless_reciprocity(small_stats, rng):
     for _ in range(20):
         real = sample_realization(small_stats, rng)
         des = _random_design(2, 4, rng)
-        up = uplink_probe(real, des, noise_a=np.zeros(2), power_b=7.3)
-        down = downlink_probe(real, des, noise_b=np.zeros(2))
+        c = combined_channel(real, des)
+        up = uplink_probe(c, des.precoder, noise_a=np.zeros(2), power_b=7.3)
+        down = downlink_probe(c, des.precoder, noise_b=np.zeros(2))
         npt.assert_allclose(up, math.sqrt(7.3) * down, atol=1e-10)
-
-
-def test_downlink_probe_identity_pilot_keeps_noise(rng):
-    real = _manual_realization(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-    des = _random_design(2, 2, rng)
-    noise = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    y = downlink_probe(real, des, noise_b=noise, pilot_d=np.eye(2))
-    npt.assert_allclose(y, noise, atol=1e-14)
-
-
-def test_downlink_probe_rejects_nonunitary_pilot(rng):
-    real = _manual_realization(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-    des = _random_design(2, 2, rng)
-    with pytest.raises(ConfigError):
-        downlink_probe(real, des, noise_b=np.zeros(2), pilot_d=np.eye(2) * 2.0)
 
 
 def test_downlink_noise_is_white_for_any_unitary_pilot(rng):
@@ -178,11 +152,17 @@ def test_downlink_noise_is_white_for_any_unitary_pilot(rng):
     assert np.abs(emp - var * np.eye(2)).max() < 0.03 * var
 
 
-def test_probe_pair_bundles_both_directions(small_stats, rng):
-    real = sample_realization(small_stats, rng)
-    des = _random_design(2, 4, rng)
-    obs = probe_pair(
-        real, des, power_b=2.0,
-        noise_a=np.zeros(2), noise_b=np.zeros(2),
-    )
-    npt.assert_allclose(obs.y_a, math.sqrt(2.0) * obs.y_b, atol=1e-10)
+def test_batched_probes_equal_per_round_calls(rng):
+    # one probing round per row. BLAS may round a row of a matrix product
+    # differently from the same vector product, so rows agree to roundoff
+    for m in (2, 4, 8):
+        des = _random_design(m, 4, rng)
+        c = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+        noise_a = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+        noise_b = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+        up = uplink_probe(c, des.precoder, noise_a, 3.0)
+        down = downlink_probe(c, des.precoder, noise_b)
+        rows_up = [uplink_probe(c[i], des.precoder, noise_a[i], 3.0) for i in range(7)]
+        rows_down = [downlink_probe(c[i], des.precoder, noise_b[i]) for i in range(7)]
+        npt.assert_allclose(up, rows_up, rtol=0, atol=1e-14 * np.abs(up).max())
+        npt.assert_allclose(down, rows_down, rtol=0, atol=1e-14 * np.abs(down).max())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -13,8 +14,13 @@ from irskey import (
     ConfigError,
     NumericalError,
     ProbeDesign,
+    SystemConfig,
+    baseline_design,
     bs_correlation,
+    channel_statistics,
+    combined_channel,
     combined_covariance,
+    downlink_probe,
     effective_variance,
     equal_phase_vector,
     irs_correlation,
@@ -22,8 +28,9 @@ from irskey import (
     skr_approximate,
     skr_closed_form,
     skr_monte_carlo,
+    uplink_probe,
 )
-from irskey import _blas, probe_pair, skr
+from irskey import _blas, skr
 from irskey.channel import ChannelRealization, _complex_normal
 
 _LN2 = math.log(2.0)
@@ -416,8 +423,9 @@ def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
     noise_b = _complex_normal(stream, n * 4, noise).reshape(n, 4)
     want = np.zeros((8, 8), dtype=complex)
     for i in range(n):
-        obs = probe_pair(ChannelRealization(h[i], big_g[i], f[i], None), des, noise_a[i], noise_b[i], power_b)
-        z = np.concatenate([obs.y_a, obs.y_b])
+        c = combined_channel(ChannelRealization(h[i], big_g[i], f[i], None), des)
+        z = np.concatenate([uplink_probe(c, des.precoder, noise_a[i], power_b),
+                            downlink_probe(c, des.precoder, noise_b[i])])
         want += np.outer(z, z.conj())
     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -478,3 +486,25 @@ def test_monte_carlo_runs_blas_on_one_thread_and_restores_it(small_stats, rng, m
         assert get() == 2
     finally:
         put(before)
+
+
+def test_antenna_correlation_is_judged_hermitian_once():
+    # the closed form (via R_bs_eigh) and Monte Carlo (via R_bs_sqrt) accept
+    # and reject the same asymmetry: R_bs is judged Hermitian once, to 1e-8
+    system = SystemConfig()
+    stats = channel_statistics(system)
+    design = baseline_design(system, stats)
+    for offset, ok in ((5e-9, True), (0.2, False)):
+        r_bs = stats.R_bs.copy()
+        r_bs[0, 3] += offset
+        skewed = dataclasses.replace(stats, R_bs=r_bs)
+        evaluators = (
+            lambda: skr_closed_form(design, skewed, system.power_b, system.noise),
+            lambda: skr_monte_carlo(design, skewed, system.power_b, system.noise, 20_000, np.random.default_rng(0)),
+        )
+        for evaluate in evaluators:
+            if ok:
+                assert evaluate().bits > 0
+            else:
+                with pytest.raises(NumericalError, match="Hermitian"):
+                    evaluate()
