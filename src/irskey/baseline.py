@@ -36,6 +36,7 @@ __all__ = [
 _MODE_FLOOR = 1e-12  # correlation eigenvalues below this cannot be whitened
 _EPS = 4.0 * np.finfo(float).eps  # relative step at which a Newton iteration has converged
 _MAX_ITER = 100
+_BUDGET_TOL = 1e-9  # largest budget residual sum(q_i / p_i) - M a solved active set may leave
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def _mode_power(w_nats: float, a: float, b: float, q_peak: float) -> float:
     raise NumericalError("water-filling: a mode-power solve did not converge")
 
 
-def _active_set_powers(p_modes: list[float], m: int, a: float, b: float, q_peak: float, tol: float):
+def _active_set_powers(p_modes: list[float], m: int, a: float, b: float, q_peak: float):
     """(all M powers, multiplier in nats) putting every given mode above the
     peak within budget, or None when even the least such allocation exceeds it.
 
@@ -144,8 +145,8 @@ def _active_set_powers(p_modes: list[float], m: int, a: float, b: float, q_peak:
         tau -= step
     else:
         raise NumericalError("water-filling: the multiplier search did not converge")
-    if abs(gap) > tol:
-        raise NumericalError(f"water-filling budget residual {abs(gap):.3e} exceeds {tol:.1e}")
+    if abs(gap) > _BUDGET_TOL:
+        raise NumericalError(f"water-filling budget residual {abs(gap):.3e} exceeds {_BUDGET_TOL:.1e}")
     return q + [0.0] * (m - len(q)), _marginal_nats(tau, a, b) * p_k
 
 
@@ -155,13 +156,12 @@ def waterfill(
     power_a: float,
     power_b: float,
     noise: float,
-    tol: float = 1e-9,
 ) -> WaterfillResult:
     """Allocate mode powers maximizing the approximate SKR under the budget.
 
     Each active set of the k leading modes, all on the decreasing branch of
     the marginal utility, is solved to rounding for equal multipliers under
-    sum(q_i / p_i) = M (a residual above ``tol`` raises NumericalError); the
+    sum(q_i / p_i) = M (a residual above 1e-9 raises NumericalError); the
     marginal utility is not concave near 0, so the active set can collapse
     discontinuously. The single-mode corner q = (M p_1, 0, ...) is a
     candidate too: the k = 1 solution, and the optimum when no mode can pass
@@ -169,8 +169,6 @@ def waterfill(
     SNR terms a and b that the solve cannot resolve in floats raise
     NumericalError.
     """
-    if tol <= 0.0:
-        raise ConfigError("tolerance must be positive")
     if var <= 0.0 or power_a <= 0.0 or power_b <= 0.0 or noise <= 0.0:
         raise ConfigError("powers, noise, and effective variance must be positive")
     p = [float(x) for x in stats.R_bs_eigh[0][::-1]]
@@ -181,7 +179,7 @@ def waterfill(
     b = power_a * var / noise
     try:  # a b past the float range, or a and b hundreds of decades apart
         q_peak = _marginal_peak(a, b)
-        options = [_active_set_powers(p[:k], m, a, b, q_peak, tol) for k in range(m, 1, -1)]
+        options = [_active_set_powers(p[:k], m, a, b, q_peak) for k in range(m, 1, -1)]
     except ZeroDivisionError as exc:
         raise NumericalError(f"water-filling divides by 0 at SNR terms a = {a:.3e}, b = {b:.3e}") from exc
     options.append(([m * p[0]] + [0.0] * (m - 1), _marginal_nats(m * p[0], a, b) * p[0]))

@@ -174,7 +174,8 @@ def path_gain(dist, alpha: float, ref_loss_db: float = -30.0, ref_dist: float = 
     dist = np.asarray(dist, dtype=float)
     if not np.all(dist >= ref_dist):
         raise ConfigError(f"link distance {dist.min()} below reference distance {ref_dist}")
-    return 10.0 ** ((ref_loss_db - 10.0 * alpha * np.log10(dist / ref_dist)) / 10.0)
+    with np.errstate(over="ignore"):  # past a subnormal ref_dist the ratio is inf and the gain reads 0
+        return 10.0 ** ((ref_loss_db - 10.0 * alpha * np.log10(dist / ref_dist)) / 10.0)
 
 
 def link_gains(config: SystemConfig, ue_positions):
@@ -230,21 +231,21 @@ def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix square root requires a square matrix")
-    mat = _hermitian_part(mat, tol)
-    return _eigh_sqrt(np.linalg.eigh(mat), mat, tol)
+    w, v = _psd_eigh(_hermitian_part(mat, tol), tol)
+    return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _eigh_sqrt(eigh: tuple[np.ndarray, np.ndarray], mat: np.ndarray, tol: float) -> np.ndarray:
-    """PSD square root of ``mat`` from its eigendecomposition (ascending eigenvalues, eigenvectors)."""
-    w, v = eigh
+def _psd_eigh(mat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, eigenvectors) of Hermitian ``mat``, judged positive semidefinite.
+
+    An eigenvalue below ``-tol`` times max(1, largest entry) is a
+    NumericalError; negatives inside that are roundoff and clipped to 0.
+    """
+    w, v = np.linalg.eigh(mat)
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     if w.min() < -tol * scale:
         raise NumericalError(f"matrix is indefinite (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    if np.isrealobj(mat):
-        root = root.real
-    return root
+    return np.clip(w, 0.0, None), v
 
 
 @dataclass(frozen=True)
@@ -267,13 +268,15 @@ class ChannelStatistics:
 
     @cached_property
     def R_bs_sqrt(self) -> np.ndarray:
-        """PSD square root of R_bs, from ``R_bs_eigh`` so that R_bs is judged Hermitian once."""
-        return _eigh_sqrt(self.R_bs_eigh, self.R_bs, 1e-10)
+        """PSD square root of R_bs, from ``R_bs_eigh`` so that R_bs is judged once."""
+        w, v = self.R_bs_eigh
+        return (v * np.sqrt(w)) @ v.conj().T
 
     @cached_property
     def R_bs_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """R_bs = U diag(lam) U^H as (lam ascending, U); NumericalError unless R_bs is Hermitian to 1e-8."""
-        return np.linalg.eigh(_hermitian_part(self.R_bs))
+        """R_bs = U diag(lam) U^H as (lam ascending, U); NumericalError unless R_bs is Hermitian
+        to 1e-8 and positive semidefinite to 1e-10 of its scale. Roundoff negatives in lam read 0."""
+        return _psd_eigh(_hermitian_part(self.R_bs), 1e-10)
 
     @cached_property
     def R_irs_sqrt(self) -> np.ndarray:

@@ -340,12 +340,15 @@ def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: Trai
     np.square(g, out=step)
     v += np.multiply(step, 1.0 - b2, out=step)
     np.divide(m, corr1, out=step)
-    step *= cfg.learning_rate
-    np.divide(v, corr2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step /= denom
-    np.subtract(params.vec, step, out=params.vec)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is rejected below
+        step *= cfg.learning_rate
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        np.subtract(params.vec, step, out=params.vec)
+    if not np.isfinite(params.vec).all():
+        raise NumericalError(f"training step at learning_rate {cfg.learning_rate} left non-finite weights")
 
 
 def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:

@@ -206,12 +206,6 @@ def closed_form_bits(
     if not np.isfinite(var).all():
         raise NumericalError("effective variance is not finite")
     lam, basis = stats.R_bs_eigh
-    if lam[0] < 0.0:  # an indefinite R_bs: only roundoff may make a signal covariance negative
-        r_z = var[:, None, None] * (np.swapaxes(p, -1, -2) @ stats.R_bs @ p.conj())
-        scale = np.maximum(1.0, np.abs(r_z).max(axis=(-2, -1), initial=0.0))
-        eig_min = np.linalg.eigvalsh(r_z)[:, 0]
-        if np.any(eig_min < -1e-10 * scale):
-            raise NumericalError(f"signal covariance indefinite (min eigenvalue {float(eig_min.min()):.3e})")
     m = p.shape[-1]
     eps = np.finfo(float).eps
     nats, magnitude, _, _ = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
@@ -282,10 +276,9 @@ def skr_approximate(
     if power_a <= 0.0 or power_b <= 0.0 or noise <= 0.0:
         raise ConfigError("powers and noise must be positive")
     var = effective_variance(phases, stats)
-    sandwich = _hermitian_part(p_e.T @ stats.R_bs @ p_e.conj())
-    q = np.linalg.eigvalsh(sandwich)
-    if q.min() < -1e-10:
-        raise NumericalError("precoder sandwich matrix indefinite")
+    lam, basis = stats.R_bs_eigh
+    a = basis.conj().T @ p_e.conj()  # the sandwich p_e^T R_bs p_e^* is A^H diag(lam) A
+    q = np.linalg.eigvalsh(a.conj().T @ (lam[:, None] * a))
     modes = per_mode_objective(np.clip(q, 0.0, None), var, power_a, power_b, noise)
     bits = _nonnegative_bits(np.sum(modes), m)
     return SkrReport(bits=float(bits), method="approximate")

@@ -24,11 +24,13 @@ from irskey import (
     effective_variance,
     equal_phase_vector,
     irs_correlation,
+    random_design,
     sample_batch,
     skr_approximate,
     skr_closed_form,
     skr_monte_carlo,
     uplink_probe,
+    waterfill_design,
 )
 from irskey import _blas, skr
 from irskey.channel import ChannelRealization, _complex_normal
@@ -235,10 +237,10 @@ def test_closed_form_rejects_asymmetric_antenna_correlation():
         skr.closed_form_bits(np.eye(2, dtype=complex)[None], np.ones((1, 1)), stats, 10.0, 1e-9)
 
 
-@pytest.mark.parametrize("gains, min_eig", [((1.0,), "-1.000e+00"), ((1.0, 2.0, 0.5), "-4.000e+00")])
+@pytest.mark.parametrize("gains, min_eig", [((1.0,), "-1.000e+00"), ((1.0, 2.0, 0.5), "-1.000e+00")])
 def test_closed_form_rejects_indefinite_signal_covariance(gains, min_eig):
     # R_bs with eigenvalues 3 and -1, which no channel correlation has; the
-    # message names the smallest eigenvalue over the batch
+    # message names R_bs's smallest eigenvalue, whatever the batch
     stats = _direct_only_stats(np.array([[1.0, 2.0], [2.0, 1.0]]))
     precoders = np.stack([g * np.eye(2, dtype=complex) for g in gains])
     with pytest.raises(NumericalError, match=rf"indefinite \(min eigenvalue {re.escape(min_eig)}\)"):
@@ -486,6 +488,31 @@ def test_monte_carlo_runs_blas_on_one_thread_and_restores_it(small_stats, rng, m
         assert get() == 2
     finally:
         put(before)
+
+
+@pytest.mark.parametrize("min_eig", [-1e-6, -1e-9, -5e-11])
+def test_antenna_correlation_is_judged_positive_semidefinite_once(min_eig):
+    # four paths judged R_bs by four rules: at -1e-6 the closed form read 6.776 bits, and the
+    # approximation accepted -1e-9. Water-filling keeps its floor: whitening needs every eigenvalue > 0
+    system = SystemConfig()
+    lam, basis = np.linalg.eigh(channel_statistics(system).R_bs)
+    lam[0] = min_eig
+    stats = dataclasses.replace(channel_statistics(system), R_bs=(basis * lam) @ basis.T)
+    des, args = random_design(system, np.random.default_rng(0)), (stats, system.power_b, system.noise)
+    evaluators = (
+        lambda: skr_closed_form(des, *args),
+        lambda: skr_monte_carlo(des, *args, 20_000, np.random.default_rng(0)),
+        lambda: skr_approximate(des.precoder / math.sqrt(system.power_a), des.phases, stats, system.power_a, *args[1:]),
+    )
+    indefinite = min_eig < -1e-10
+    for evaluate in evaluators:
+        if indefinite:
+            with pytest.raises(NumericalError, match="indefinite"):
+                evaluate()
+        else:
+            assert evaluate().bits > 0
+    with pytest.raises(NumericalError, match="indefinite" if indefinite else "singular"):
+        waterfill_design(system, stats)
 
 
 def test_antenna_correlation_is_judged_hermitian_once():
