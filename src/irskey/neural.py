@@ -384,7 +384,8 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     fixed set is reshuffled. ``progress(epoch, mean_loss_bits, wall_seconds)``
     is invoked after each epoch when given. Aborts with an error after 5
     consecutive non-finite batch losses; a non-finite step leaves the weights
-    and the Adam state as they were. A ``ue_region`` reaching within the
+    and the Adam state as they were. An update that leaves a non-finite weight
+    raises NumericalError at once. A ``ue_region`` reaching within the
     reference distance of the BS or the surface is rejected before the first
     step. BLAS runs on one thread meanwhile.
     """

@@ -19,7 +19,7 @@ class Row(NamedTuple):
     argv: tuple
     ini: str | None  # written to c.ini and passed as --config; None runs without --config
     code: int
-    fragments: tuple = ()  # each must appear in the stderr line
+    fragments: tuple = ()  # each must appear in the stderr line; a first one with the code's prefix must start it
     out_dir: bool = False  # train made --out before it failed; it must be empty
     label: str | None = None  # stands for the INI in the test id
 
@@ -33,7 +33,8 @@ def check_contract(row: Row, workdir, run) -> None:
     """Run ``row`` through ``run(argv) -> (exit code, stderr)``, which runs in ``workdir``; assert the contract.
 
     Exit 0 prints nothing to stderr. A failure prints one line with the code's prefix and the
-    row's fragments, without a traceback or a warning, and leaves nothing under ``--out``.
+    row's fragments, without a traceback or a warning, and leaves nothing under ``--out``. A
+    first fragment that itself starts with the prefix must start the line.
     """
     argv = list(row.argv)
     if row.ini is not None:
@@ -45,7 +46,8 @@ def check_contract(row: Row, workdir, run) -> None:
         assert err == ""
         return
     prefix = {1: "config error:", 2: "numerical failure:", 3: "i/o error:"}[code]
-    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    head = row.fragments[0] if row.fragments and row.fragments[0].startswith(prefix) else prefix
+    assert len(err.splitlines()) == 1 and err.startswith(head), err
     assert "Traceback" not in err and "Warning" not in err, err
     assert [part for part in row.fragments if part not in err] == [], err
     out = workdir / "out"
