@@ -9,6 +9,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 
 @functools.cache
 def openblas_threads():
@@ -65,9 +67,11 @@ def parallel_map(fn, items, workers=None):
     By default one thread per item, up to the CPUs this process may use (its
     affinity mask where the platform has one). Results keep item order; the
     first failure in item order propagates and cancels the items not started.
+    Pool threads start from the caller's numpy error state, which they would not inherit.
     """
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(len(items), cpus)
-    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+    errstate = functools.partial(np.seterr, **np.geterr())
+    with single_blas_thread(), ThreadPoolExecutor(workers, initializer=errstate) as pool:
         return list(pool.map(fn, items))

@@ -220,9 +220,11 @@ def main(argv=None) -> int:
     """Entry point mapping failures onto stable exit codes.
 
     0 success, 1 configuration error, 2 numerical failure, 3 I/O error.
+    Float overflow, invalid operations and division by zero raise (exit 2); underflow does not.
     """
     try:
-        return run(argv)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return run(argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -244,14 +244,9 @@ def _loss_and_grad(
     gamma = beta_bs_irs * beta_irs_ue
     var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
     lam, basis = stats.R_bs_eigh
-    try:
-        mi_nats, _, g_a, g_var = _whitened_mi(
-            basis.conj().T @ precoder.conj(), lam, var, system.power_b, system.noise, want_grad=want_grad
-        )
-    except (NumericalError, np.linalg.LinAlgError):
-        # overflowing covariance: surface as an infinite loss signal
-        return math.inf, (NetParams(params.M, params.L, params.hidden) if want_grad else None)
-
+    mi_nats, _, g_a, g_var = _whitened_mi(
+        basis.conj().T @ precoder.conj(), lam, var, system.power_b, system.noise, want_grad=want_grad
+    )
     loss_bits = float(-np.mean(mi_nats) / _LN2)
     if not want_grad:
         return loss_bits, None
@@ -305,14 +300,14 @@ def _as_location_array(batch_locations) -> np.ndarray:
 
 
 def loss(params: NetParams, batch_locations, config: SystemConfig) -> float:
-    """Negative batch-mean SKR in bits (exact closed form, per-sample link gains)."""
+    """Negative batch-mean SKR in bits (exact closed form, per-sample link gains); an overflowing covariance raises."""
     locs = _as_location_array(batch_locations)
     value, _ = _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=False)
     return value
 
 
 def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):
-    """``loss`` and its exact reverse-mode gradient with respect to every parameter (a NetParams)."""
+    """``loss`` and its exact reverse-mode gradient with respect to every parameter (a NetParams); raises as loss."""
     locs = _as_location_array(batch_locations)
     return _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=True)
 
@@ -340,15 +335,14 @@ def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: Trai
     np.square(g, out=step)
     v += np.multiply(step, 1.0 - b2, out=step)
     np.divide(m, corr1, out=step)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is rejected below
-        step *= cfg.learning_rate
-        np.divide(v, corr2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        np.subtract(params.vec, step, out=params.vec)
-    if not np.isfinite(params.vec).all():
-        raise NumericalError(f"training step at learning_rate {cfg.learning_rate} left non-finite weights")
+    step *= cfg.learning_rate
+    np.divide(v, corr2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    np.subtract(params.vec, step, out=params.vec)
+    if not np.isfinite(params.vec).all():  # np.linalg keeps its own error state: an inf can pass unflagged
+        raise NumericalError("the update left non-finite weights")
 
 
 def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
@@ -382,48 +376,48 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
     Deterministic given the seed. UE locations are drawn fresh each epoch
     (x block then y block) unless ``fresh_samples`` is off, in which case one
     fixed set is reshuffled. ``progress(epoch, mean_loss_bits, wall_seconds)``
-    is invoked after each epoch when given. Aborts with an error after 5
-    consecutive non-finite batch losses; a non-finite step leaves the weights
-    and the Adam state as they were. An update that leaves a non-finite weight
-    raises NumericalError at once. A ``ue_region`` reaching within the
-    reference distance of the BS or the surface is rejected before the first
-    step. BLAS runs on one thread meanwhile.
+    is invoked after each epoch when given. Float errors other than underflow
+    raise, and the first step that raises, returns a non-finite loss or leaves
+    a non-finite weight aborts with one NumericalError naming the step and the
+    learning rate. A ``ue_region`` reaching within the reference distance of
+    the BS or the surface is rejected before the first step. BLAS runs on one
+    thread meanwhile.
     """
-    _check_region(system, train_config.ue_region)
-    stats = channel_statistics(system)
-    rng = np.random.default_rng(train_config.seed)
-    params = init_params(system.M, system.L, rng)
-    state = _AdamState(params.vec.size)
-    fixed_set = None
-    if not train_config.fresh_samples:
-        fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
-    history: list[float] = []
-    bad_streak = 0
-    for epoch in range(train_config.epochs):
-        tick = time.perf_counter()
-        if fixed_set is None:
-            locations = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
-        else:
-            locations = fixed_set[rng.permutation(len(fixed_set))]
-        batch_losses = []
-        for start in range(0, len(locations), train_config.batch_size):
-            batch = locations[start : start + train_config.batch_size]
-            value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True)
-            if math.isfinite(value):
-                bad_streak = 0
-                _adam_step(params, grads, state, train_config)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _check_region(system, train_config.ue_region)
+        stats = channel_statistics(system)
+        rng = np.random.default_rng(train_config.seed)
+        params = init_params(system.M, system.L, rng)
+        state = _AdamState(params.vec.size)
+        fixed_set = None
+        if not train_config.fresh_samples:
+            fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
+        history: list[float] = []
+        step = 0
+        for epoch in range(train_config.epochs):
+            tick = time.perf_counter()
+            if fixed_set is None:
+                locations = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
             else:
-                bad_streak += 1
-                if bad_streak >= 5:
-                    raise NumericalError(
-                        "training diverged: loss non-finite for 5 consecutive steps"
-                    )
-            batch_losses.append(value)
-        mean_loss = float(np.mean(batch_losses))
-        history.append(mean_loss)
-        if progress is not None:
-            progress(epoch, mean_loss, time.perf_counter() - tick)
-    return params, history
+                locations = fixed_set[rng.permutation(len(fixed_set))]
+            batch_losses = []
+            for start in range(0, len(locations), train_config.batch_size):
+                batch = locations[start : start + train_config.batch_size]
+                step += 1
+                try:
+                    value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True)
+                    if not math.isfinite(value):
+                        raise NumericalError(f"loss is {value}")
+                    _adam_step(params, grads, state, train_config)
+                except (FloatingPointError, NumericalError, np.linalg.LinAlgError) as exc:
+                    lr = train_config.learning_rate
+                    raise NumericalError(f"training step {step} at learning_rate {lr} failed: {exc}") from exc
+                batch_losses.append(value)
+            mean_loss = float(np.mean(batch_losses))
+            history.append(mean_loss)
+            if progress is not None:
+                progress(epoch, mean_loss, time.perf_counter() - tick)
+        return params, history
 
 
 # ---------------------------------------------------------------------------

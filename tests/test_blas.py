@@ -1,6 +1,7 @@
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from irskey import _blas
@@ -42,9 +43,9 @@ def test_parallel_map_sizes_the_pool_by_the_cpus_this_process_may_use(monkeypatc
     sizes = []
 
     class Recording(ThreadPoolExecutor):
-        def __init__(self, workers):
+        def __init__(self, workers, **kwargs):
             sizes.append(workers)
-            super().__init__(workers)
+            super().__init__(workers, **kwargs)
 
     monkeypatch.setattr(_blas, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(_blas.os, "cpu_count", lambda: 8)
@@ -56,3 +57,11 @@ def test_parallel_map_sizes_the_pool_by_the_cpus_this_process_may_use(monkeypatc
     _blas.parallel_map(abs, range(20))
     _blas.parallel_map(abs, [-1], workers=4)
     assert sizes == [1, 3, 8, 4]
+
+
+def test_parallel_map_runs_items_under_the_callers_float_error_state():
+    # pool threads start from numpy's default state unless parallel_map hands them the caller's
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _blas.parallel_map(np.square, [np.float64(2.0), np.float64(1e200)], workers=2)
+    with np.errstate(over="ignore"):
+        assert _blas.parallel_map(np.square, [np.float64(2.0), np.float64(1e200)], workers=2) == [4.0, np.inf]

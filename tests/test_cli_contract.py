@@ -58,6 +58,7 @@ _ALL_BUT_SWEEP = (("skr",), ("skr", "--method", "random"), ("baseline",), ("mc-c
 _WATERFILL_OVERFLOWS = ("ref_loss_db = -2000", "noise_dbm = 3000", "noise_dbm = -3000", "power_a_dbm = -3000",
                         "power_b_dbm = -3000", "power_a_dbm = 3000")
 _ONE_STEP = "[train]\nepochs = 1\nsamples_per_epoch = 10\nbatch_size = 10\n"
+_THREE_EPOCHS = "[train]\nepochs = 3\nsamples_per_epoch = 100\nbatch_size = 10\n"
 
 ROWS = [
     # products of the two SNRs overflow here; the failure must stay inside the exit-code contract
@@ -94,7 +95,10 @@ ROWS = [
     # one step overflowed into a checkpoint of infinite weights and exited 0; 30 steps
     # printed 4 RuntimeWarnings before the divergence error
     *(Row(("train",), f"{steps}learning_rate = 1e308\n", 2, ("learning_rate 1e+308",), out_dir=True)
-      for steps in (_ONE_STEP, "[train]\nepochs = 3\nsamples_per_epoch = 100\nbatch_size = 10\n")),
+      for steps in (_ONE_STEP, _THREE_EPOCHS)),
+    # with finite weights the forward pass overflowed: 1e50 and 1e100 warned, then exited 0 with a loss of 0 bits
+    *(Row(("train",), f"{_THREE_EPOCHS}learning_rate = {lr}\n", 2, ("training step", f"learning_rate {lr}"),
+          out_dir=True) for lr in (1e50, 1e100, 1e200, 1e300)),
     # numpy rejects negative seeds with a ValueError that escaped main() as a traceback
     *(Row(argv, FULL_INI, 1, ("seed",), label="FULL_INI") for argv in (
         ("skr", "--method", "random", "--seed", "-1"), ("mc-check", "--samples", "20000", "--seed", "-1"),

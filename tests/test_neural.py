@@ -307,35 +307,29 @@ def test_train_fixed_sample_mode_differs_but_converges():
 
 
 def test_train_divergence_abort(monkeypatch):
+    # the first step whose closed form raises, or whose loss is not finite, ends training with one NumericalError
     system = _small_system()
+    real, calls = neural._whitened_mi, []
 
-    def exploding(params, locations, system_cfg, stats, want_grad):
-        return float("inf"), NetParams(params.M, params.L, params.hidden)
+    def failing_from_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) >= 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(neural, "_loss_and_grad", exploding)
+    monkeypatch.setattr(neural, "_whitened_mi", failing_from_third)
     cfg = TrainConfig(epochs=2, samples_per_epoch=100, batch_size=10, seed=0)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"^training step 3 at learning_rate 0\.001 failed: Matrix is not"):
         train(cfg, system)
+    assert len(calls) == 3
+    with pytest.raises(np.linalg.LinAlgError):  # the public loss raises too, where it read inf before
+        loss(init_params(2, 4, np.random.default_rng(0)), [(10.0, 10.0, 0.0)], system)
 
-
-def test_train_non_finite_step_leaves_weights_alone(monkeypatch):
-    # one real step, then a non-finite one: Adam's stale momentum must not move the weights
-    system = _small_system()
-    real = neural._loss_and_grad
-    seen = []
-
-    def second_step_fails(params, locations, system_cfg, stats, want_grad):
-        seen.append(params.vec.copy())
-        if len(seen) == 1:
-            return real(params, locations, system_cfg, stats, want_grad)
-        return float("inf"), NetParams(params.M, params.L, params.hidden)
-
-    monkeypatch.setattr(neural, "_loss_and_grad", second_step_fails)
-    cfg = TrainConfig(epochs=1, samples_per_epoch=20, batch_size=10, seed=0)
-    params, history = train(cfg, system)
-    assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
-    npt.assert_array_equal(params.vec, seen[1])
-    assert history == [math.inf]
+    calls.clear()
+    monkeypatch.setattr(neural, "_loss_and_grad", lambda *args, **kwargs: calls.append(1) or (math.inf, None))
+    with pytest.raises(NumericalError, match=r"^training step 1 at learning_rate 0\.5 failed: loss is inf$"):
+        train(dataclasses.replace(cfg, learning_rate=0.5), system)
+    assert len(calls) == 1
 
 
 def _reference_adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig) -> None:
@@ -362,15 +356,11 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
     rng = np.random.default_rng(99)
     n = template.vec.size
     grad_vectors = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n) for _ in range(50)]
-    skipped = 17
-    steps = iter(range(50))
+    scripted_vectors = iter(grad_vectors)
 
     def scripted(params, locations, system_cfg, stats, want_grad):
-        k = next(steps)
-        if k == skipped:
-            return math.inf, NetParams(params.M, params.L, params.hidden)
         grads = NetParams(params.M, params.L, params.hidden)
-        grads.vec = grad_vectors[k]
+        grads.vec = next(scripted_vectors)
         return 1.0, grads
 
     monkeypatch.setattr(neural, "_loss_and_grad", scripted)
@@ -378,11 +368,10 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
 
     ref = {name: getattr(template, name).copy() for name in PARAM_FIELDS}
     state = {"m": {}, "v": {}, "t": 0}
-    for k, gvec in enumerate(grad_vectors):
-        if k != skipped:
-            grads = NetParams(template.M, template.L, template.hidden)
-            grads.vec = gvec
-            _reference_adam_step(ref, {name: getattr(grads, name) for name in PARAM_FIELDS}, state, cfg)
+    for gvec in grad_vectors:
+        grads = NetParams(template.M, template.L, template.hidden)
+        grads.vec = gvec
+        _reference_adam_step(ref, {name: getattr(grads, name) for name in PARAM_FIELDS}, state, cfg)
     want = np.concatenate([ref[name].ravel() for name in PARAM_FIELDS])
     assert np.array_equal(params.vec, want)
 
