@@ -213,16 +213,19 @@ def normalize_phases(theta_prime: np.ndarray) -> np.ndarray:
 # forward / loss / gradient
 
 
-def _forward_core(params: NetParams, locations: np.ndarray, power_a: float):
-    a1 = locations @ params.W1.T + params.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ params.W2.T + params.b2
-    h2 = np.maximum(a2, 0.0)
+def _forward_core(params: NetParams, locations: np.ndarray, power_a: float, h1=None, h2=None):
+    # the (K, hidden) activations go into h1, h2, fresh arrays if None
+    h1 = np.matmul(locations, params.W1.T, out=h1)
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = np.matmul(h1, params.W2.T, out=h2)
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
     p_prime = h2 @ params.Wp.T + params.bp
     t_prime = h2 @ params.Wt.T + params.bt
     precoder, p_cache = _normalize_precoder_batch(p_prime, power_a)
     phases, t_cache = _normalize_phases_batch(t_prime)
-    cache = (locations, a1, h1, a2, h2, p_cache, t_cache)
+    cache = (locations, h1, h2, p_cache, t_cache)
     return precoder, phases, cache
 
 
@@ -233,13 +236,22 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
     return ProbeDesign(precoder=precoder[0], phases=phases[0])
 
 
+class _Workspace:
+    """A step's (k, hidden) activations and backward products, and its gradient: train reuses one per call."""
+
+    def __init__(self, k: int, params: NetParams) -> None:
+        self.h1, self.h2, self.d_h2, self.d_h1 = (np.empty((k, params.hidden)) for _ in range(4))
+        self.grads = NetParams(params.M, params.L, params.hidden)
+
+
 def _loss_and_grad(
-    params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool
+    params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool, work=None
 ):
-    # correlations come from ``stats``, link gains from each location
+    # correlations come from ``stats``, link gains from each location; writes into ``work`` (fresh arrays if None)
     k = locations.shape[0]
     m = system.M
-    precoder, phases, cache = _forward_core(params, locations, system.power_a)
+    h1, h2, d_h2, d_h1 = (None,) * 4 if work is None else (work.h1, work.h2, work.d_h2, work.d_h1)
+    precoder, phases, cache = _forward_core(params, locations, system.power_a, h1, h2)
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(system, locations)
     gamma = beta_bs_irs * beta_irs_ue
     var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
@@ -257,7 +269,7 @@ def _loss_and_grad(
     g_theta = (scale * gamma * g_var)[:, None] * squared_theta
 
     # back through the phase normalization (radial components drop out)
-    u, v, radius, live = cache[6]
+    u, v, radius, live = cache[4]
     g_re = 2.0 * g_theta.real
     g_im = 2.0 * g_theta.imag
     r3 = radius**3
@@ -266,27 +278,28 @@ def _loss_and_grad(
     g_tprime = np.concatenate([grad_u, grad_v], axis=1)
 
     # back through the precoder normalization (projection removes the radial part)
-    raw, norm, target = cache[5]
+    raw, norm, target = cache[3]
     inner = np.einsum("kij,kij->k", g_p.conj(), raw).real
     g_raw = (target / norm)[:, None, None] * (g_p - (inner / norm**2)[:, None, None] * raw)
     g_raw_cm = g_raw.swapaxes(1, 2).reshape(k, m * m)  # column-major flatten per sample
     g_pprime = np.concatenate([2.0 * g_raw_cm.real, 2.0 * g_raw_cm.imag], axis=1)
 
-    # back through the MLP, into the blocks of one flat gradient vector
-    locations_arr, a1, h1, a2, h2, _, _ = cache
-    grads = NetParams(params.M, params.L, params.hidden)
+    # back through the MLP, into the flat gradient; h > 0 is a > 0 for h = max(a, 0), NaN included
+    locations_arr, h1, h2, _, _ = cache
+    grads = NetParams(params.M, params.L, params.hidden) if work is None else work.grads
     np.matmul(g_pprime.T, h2, out=grads.Wp)
     g_pprime.sum(axis=0, out=grads.bp)
     np.matmul(g_tprime.T, h2, out=grads.Wt)
     g_tprime.sum(axis=0, out=grads.bt)
-    d_h2 = g_pprime @ params.Wp + g_tprime @ params.Wt
-    d_a2 = d_h2 * (a2 > 0.0)
-    np.matmul(d_a2.T, h1, out=grads.W2)
-    d_a2.sum(axis=0, out=grads.b2)
-    d_h1 = d_a2 @ params.W2
-    d_a1 = d_h1 * (a1 > 0.0)
-    np.matmul(d_a1.T, locations_arr, out=grads.W1)
-    d_a1.sum(axis=0, out=grads.b1)
+    d_h2 = np.matmul(g_pprime, params.Wp, out=d_h2)
+    d_h2 += np.matmul(g_tprime, params.Wt, out=d_h1)  # d_h1 serves as scratch here
+    d_h2 *= h2 > 0.0  # now d_a2
+    np.matmul(d_h2.T, h1, out=grads.W2)
+    d_h2.sum(axis=0, out=grads.b2)
+    d_h1 = np.matmul(d_h2, params.W2, out=d_h1)
+    d_h1 *= h1 > 0.0  # now d_a1
+    np.matmul(d_h1.T, locations_arr, out=grads.W1)
+    d_h1.sum(axis=0, out=grads.b1)
     return loss_bits, grads
 
 
@@ -347,9 +360,12 @@ def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: Trai
 
 def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
     (x_lo, x_hi), (y_lo, y_hi) = region
-    x = rng.uniform(x_lo, x_hi, n)
-    y = rng.uniform(y_lo, y_hi, n)
-    return np.column_stack([x, y, np.zeros(n)])
+    try:
+        x = rng.uniform(x_lo, x_hi, n)
+        y = rng.uniform(y_lo, y_hi, n)
+        return np.column_stack([x, y, np.zeros(n)])
+    except MemoryError as exc:
+        raise ConfigError(f"samples_per_epoch {n}: the UE locations of an epoch do not fit in memory") from exc
 
 
 def _check_region(system: SystemConfig, region) -> None:
@@ -389,6 +405,10 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
         rng = np.random.default_rng(train_config.seed)
         params = init_params(system.M, system.L, rng)
         state = _AdamState(params.vec.size)
+        try:
+            work = _Workspace(train_config.batch_size, params)
+        except MemoryError as exc:
+            raise ConfigError(f"a batch_size {train_config.batch_size} step does not fit in memory") from exc
         fixed_set = None
         if not train_config.fresh_samples:
             fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
@@ -405,7 +425,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
                 batch = locations[start : start + train_config.batch_size]
                 step += 1
                 try:
-                    value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True)
+                    value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True, work=work)
                     if not math.isfinite(value):
                         raise NumericalError(f"loss is {value}")
                     _adam_step(params, grads, state, train_config)

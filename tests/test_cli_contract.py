@@ -119,6 +119,10 @@ ROWS = [
     # once; numpy's MemoryError used to escape main() as a traceback
     Row(("mc-check", "--samples", str(10**15), "--batches", "2"), None, 1, ("memory",)),
     Row(("skr", "--method", "random", "--trials", str(10**15)), None, 1, ("memory",)),
+    # the step's buffers or an epoch's UE locations: numpy's MemoryError escaped train as a traceback
+    *(Row(("train",), f"[train]\nsamples_per_epoch = {10**12}\nbatch_size = {batch}\nfresh_samples = {fresh}\n", 1,
+          ("memory", named), out_dir=True) for fresh in ("true", "false")
+      for batch, named in ((10**12, f"batch_size {10**12}"), (100, f"samples_per_epoch {10**12}"))),
     # NaN passed the "<= 0" checks and ran into water-filling (exit 2)
     *(Row(("baseline",), f"[system]\n{key} = {value}\n", 1, ("finite",)) for key, value in (
         ("spacing_wl", "inf"), ("eta", "nan"), ("power_a_dbm", "inf"), ("power_b_dbm", "nan"), ("noise_dbm", "nan"),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -234,6 +235,29 @@ def test_gradient_matches_finite_differences_at_high_snr(power_dbm):
         assert steep == 20 and flat == 20
 
 
+@pytest.mark.parametrize("m, l_h, l_v, k", [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 7), (3, 1, 1, 20), (4, 5, 5, 100)])
+def test_workspace_step_matches_allocating_step(m, l_h, l_v, k):
+    # train's steps write into one workspace; each must give the bits of a fresh one, whatever the
+    # buffers held (NaN here, so a read before a write shows), while the public gradient stays fresh
+    system = SystemConfig(M=m, L_h=l_h, L_v=l_v)
+    stats = channel_statistics(system)
+    rng = np.random.default_rng((m, l_h * l_v, k))
+    params = init_params(system.M, system.L, rng)
+    work = neural._Workspace(k, params)
+    earlier = [work.grads]
+    for _ in range(3):
+        batch = neural._draw_locations(rng, k, ((5.0, 15.0), (5.0, 15.0)))
+        for buffer in (work.h1, work.h2, work.d_h2, work.d_h1, work.grads.vec):
+            buffer.fill(np.nan)
+        value, grads = neural._loss_and_grad(params, batch, system, stats, want_grad=True, work=work)
+        want_value, want = loss_and_gradient(params, batch, system)
+        assert grads is work.grads
+        assert value == want_value and grads.vec.tobytes() == want.vec.tobytes()
+        assert not any(np.shares_memory(want.vec, e.vec) for e in earlier)
+        earlier.append(want)
+        params.vec -= 1e-2 * want.vec / np.abs(want.vec).max()  # the next call sees other weights
+
+
 def test_gradient_of_phase_head_vanishes_without_reflect_path(rng):
     # when beta_G * beta_f = 0 the objective cannot depend on the phases;
     # a steep BS-surface exponent underflows that gain to exactly zero
@@ -358,7 +382,7 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
     grad_vectors = [rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n) for _ in range(50)]
     scripted_vectors = iter(grad_vectors)
 
-    def scripted(params, locations, system_cfg, stats, want_grad):
+    def scripted(params, locations, system_cfg, stats, want_grad, work):
         grads = NetParams(params.M, params.L, params.hidden)
         grads.vec = next(scripted_vectors)
         return 1.0, grads
@@ -377,7 +401,7 @@ def test_train_flat_adam_matches_per_field_reference(monkeypatch):
 
 
 def test_train_rejects_region_near_the_surface_before_any_step(monkeypatch):
-    def never(*args):
+    def never(*args, **kwargs):
         raise AssertionError("training took a step")
 
     monkeypatch.setattr(neural, "_loss_and_grad", never)
@@ -417,6 +441,37 @@ def test_train_runs_blas_on_one_thread_and_restores_it():
             job.result()
     assert seen == [1] * 6
     assert get() == before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads minor page faults from getrusage")
+def test_train_steady_steps_take_no_page_faults():
+    # allocated per step, a step's buffers of 128 KB and more went back to the OS and were
+    # faulted in again each step: 140-260 minor faults per step at M=4, L=25, batch 100
+    import resource
+
+    faults = []
+    cfg = TrainConfig(epochs=6, samples_per_epoch=500, batch_size=100, seed=1)
+    train(cfg, SystemConfig(), progress=lambda e, l, w: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    per_step = (faults[-1] - faults[1]) / (4 * 5)  # epochs 2-5, after two epochs of warm-up
+    assert per_step <= 2, per_step
+
+
+def test_overlapping_trainings_match_serial_runs():
+    # each train call owns its workspace: trainings overlapping on pool threads (a sweep
+    # without checkpoints) must give the weights of the same runs done one after another
+    system = SystemConfig()
+    configs = [TrainConfig(epochs=3, samples_per_epoch=200, batch_size=100, seed=seed) for seed in (1, 2, 3)]
+    serial = [train(cfg, system)[0].vec.tobytes() for cfg in configs]
+    barrier = threading.Barrier(len(configs), timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            jobs = [pool.submit(train, cfg, system, progress=lambda e, l, w: barrier.wait()) for cfg in configs]
+            overlapped = [job.result(timeout=120)[0].vec.tobytes() for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [run == alone for run, alone in zip(overlapped, serial)] == [True] * len(configs)
 
 
 def test_train_config_validation():
