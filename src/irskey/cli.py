@@ -148,8 +148,7 @@ def _cmd_train(args) -> int:
         fh.write("epoch,mean_loss_bits,wall_seconds\n")
         for epoch, loss_bits, wall in history_rows:
             fh.write(f"{epoch},{loss_bits!r},{wall!r}\n")
-    final = history_rows[-1][1] if history_rows else float("nan")
-    print(f"trained {train_cfg.epochs} epochs; final mean loss {final!r} bits; wrote {ckpt_path}")
+    print(f"trained {train_cfg.epochs} epochs; final mean loss {history[-1]!r} bits; wrote {ckpt_path}")
     return EXIT_OK
 
 

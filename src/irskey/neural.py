@@ -213,26 +213,37 @@ def normalize_phases(theta_prime: np.ndarray) -> np.ndarray:
 # forward / loss / gradient
 
 
-def _forward_core(params: NetParams, locations: np.ndarray, power_a: float, h1=None, h2=None):
-    # the (K, hidden) activations go into h1, h2, fresh arrays if None
-    h1 = np.matmul(locations, params.W1.T, out=h1)
+def _forward_core(params: NetParams, locations: np.ndarray, power_a: float, h1: np.ndarray, h2: np.ndarray):
+    # the (K, hidden) activations go into h1 and h2; returns the two normalization caches besides the design
+    np.matmul(locations, params.W1.T, out=h1)
     h1 += params.b1
     np.maximum(h1, 0.0, out=h1)
-    h2 = np.matmul(h1, params.W2.T, out=h2)
+    np.matmul(h1, params.W2.T, out=h2)
     h2 += params.b2
     np.maximum(h2, 0.0, out=h2)
     p_prime = h2 @ params.Wp.T + params.bp
     t_prime = h2 @ params.Wt.T + params.bt
     precoder, p_cache = _normalize_precoder_batch(p_prime, power_a)
     phases, t_cache = _normalize_phases_batch(t_prime)
-    cache = (locations, h1, h2, p_cache, t_cache)
-    return precoder, phases, cache
+    return precoder, phases, p_cache, t_cache
+
+
+def _as_location_array(batch_locations) -> np.ndarray:
+    locs = np.asarray(batch_locations, dtype=float)
+    if locs.ndim == 1:
+        locs = locs.reshape(1, -1)
+    if locs.ndim != 2 or locs.shape[1] != 3:
+        raise ConfigError(f"locations must be (K, 3), got shape {locs.shape}")
+    return locs
 
 
 def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign:
-    """Evaluate the network at one location; output is feasible by construction."""
-    loc = np.asarray(ue_location, dtype=float).reshape(1, 3)
-    precoder, phases, _ = _forward_core(params, loc, config.power_a)
+    """Evaluate the network at one (x, y, z) location, else ConfigError; output is feasible by construction."""
+    loc = _as_location_array(ue_location)
+    if loc.shape[0] != 1:
+        raise ConfigError(f"forward takes one location, got shape {loc.shape}")
+    h1, h2 = np.empty((2, 1, params.hidden))
+    precoder, phases, _, _ = _forward_core(params, loc, config.power_a, h1, h2)
     return ProbeDesign(precoder=precoder[0], phases=phases[0])
 
 
@@ -245,13 +256,13 @@ class _Workspace:
 
 
 def _loss_and_grad(
-    params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool, work=None
+    params: NetParams, locations: np.ndarray, system: SystemConfig, stats: ChannelStatistics, want_grad: bool, work
 ):
-    # correlations come from ``stats``, link gains from each location; writes into ``work`` (fresh arrays if None)
+    # correlations come from ``stats``, link gains from each location; writes into ``work``
     k = locations.shape[0]
     m = system.M
-    h1, h2, d_h2, d_h1 = (None,) * 4 if work is None else (work.h1, work.h2, work.d_h2, work.d_h1)
-    precoder, phases, cache = _forward_core(params, locations, system.power_a, h1, h2)
+    h1, h2, d_h2, d_h1, grads = work.h1, work.h2, work.d_h2, work.d_h1, work.grads
+    precoder, phases, p_cache, t_cache = _forward_core(params, locations, system.power_a, h1, h2)
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(system, locations)
     gamma = beta_bs_irs * beta_irs_ue
     var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
@@ -269,7 +280,7 @@ def _loss_and_grad(
     g_theta = (scale * gamma * g_var)[:, None] * squared_theta
 
     # back through the phase normalization (radial components drop out)
-    u, v, radius, live = cache[4]
+    u, v, radius, live = t_cache
     g_re = 2.0 * g_theta.real
     g_im = 2.0 * g_theta.imag
     r3 = radius**3
@@ -278,51 +289,40 @@ def _loss_and_grad(
     g_tprime = np.concatenate([grad_u, grad_v], axis=1)
 
     # back through the precoder normalization (projection removes the radial part)
-    raw, norm, target = cache[3]
+    raw, norm, target = p_cache
     inner = np.einsum("kij,kij->k", g_p.conj(), raw).real
     g_raw = (target / norm)[:, None, None] * (g_p - (inner / norm**2)[:, None, None] * raw)
     g_raw_cm = g_raw.swapaxes(1, 2).reshape(k, m * m)  # column-major flatten per sample
     g_pprime = np.concatenate([2.0 * g_raw_cm.real, 2.0 * g_raw_cm.imag], axis=1)
 
     # back through the MLP, into the flat gradient; h > 0 is a > 0 for h = max(a, 0), NaN included
-    locations_arr, h1, h2, _, _ = cache
-    grads = NetParams(params.M, params.L, params.hidden) if work is None else work.grads
     np.matmul(g_pprime.T, h2, out=grads.Wp)
     g_pprime.sum(axis=0, out=grads.bp)
     np.matmul(g_tprime.T, h2, out=grads.Wt)
     g_tprime.sum(axis=0, out=grads.bt)
-    d_h2 = np.matmul(g_pprime, params.Wp, out=d_h2)
+    np.matmul(g_pprime, params.Wp, out=d_h2)
     d_h2 += np.matmul(g_tprime, params.Wt, out=d_h1)  # d_h1 serves as scratch here
     d_h2 *= h2 > 0.0  # now d_a2
     np.matmul(d_h2.T, h1, out=grads.W2)
     d_h2.sum(axis=0, out=grads.b2)
-    d_h1 = np.matmul(d_h2, params.W2, out=d_h1)
+    np.matmul(d_h2, params.W2, out=d_h1)
     d_h1 *= h1 > 0.0  # now d_a1
-    np.matmul(d_h1.T, locations_arr, out=grads.W1)
+    np.matmul(d_h1.T, locations, out=grads.W1)
     d_h1.sum(axis=0, out=grads.b1)
     return loss_bits, grads
-
-
-def _as_location_array(batch_locations) -> np.ndarray:
-    locs = np.asarray(batch_locations, dtype=float)
-    if locs.ndim == 1:
-        locs = locs.reshape(1, -1)
-    if locs.ndim != 2 or locs.shape[1] != 3:
-        raise ConfigError(f"locations must be (K, 3), got shape {locs.shape}")
-    return locs
 
 
 def loss(params: NetParams, batch_locations, config: SystemConfig) -> float:
     """Negative batch-mean SKR in bits (exact closed form, per-sample link gains); an overflowing covariance raises."""
     locs = _as_location_array(batch_locations)
-    value, _ = _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=False)
+    value, _ = _loss_and_grad(params, locs, config, channel_statistics(config), False, _Workspace(len(locs), params))
     return value
 
 
 def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):
     """``loss`` and its exact reverse-mode gradient with respect to every parameter (a NetParams); raises as loss."""
     locs = _as_location_array(batch_locations)
-    return _loss_and_grad(params, locs, config, channel_statistics(config), want_grad=True)
+    return _loss_and_grad(params, locs, config, channel_statistics(config), True, _Workspace(len(locs), params))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,7 @@ class _AdamState:
 
 
 def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: TrainConfig) -> None:
-    """In-place Adam on the flat vectors; each weight moves by lr·(m/c1) / (√(v/c2) + eps)."""
-    state.t += 1
+    """In-place Adam on the flat vectors at step ``state.t``; each weight moves by lr·(m/c1) / (√(v/c2) + eps)."""
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
@@ -403,17 +402,17 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
         _check_region(system, train_config.ue_region)
         stats = channel_statistics(system)
         rng = np.random.default_rng(train_config.seed)
-        params = init_params(system.M, system.L, rng)
-        state = _AdamState(params.vec.size)
         try:
+            params = init_params(system.M, system.L, rng)
+            state = _AdamState(params.vec.size)
             work = _Workspace(train_config.batch_size, params)
         except MemoryError as exc:
-            raise ConfigError(f"a batch_size {train_config.batch_size} step does not fit in memory") from exc
+            sizes = f"M={system.M}, L={system.L}, batch_size {train_config.batch_size}"
+            raise ConfigError(f"training at {sizes}: the network and a step do not fit in memory") from exc
         fixed_set = None
         if not train_config.fresh_samples:
             fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)
         history: list[float] = []
-        step = 0
         for epoch in range(train_config.epochs):
             tick = time.perf_counter()
             if fixed_set is None:
@@ -423,7 +422,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
             batch_losses = []
             for start in range(0, len(locations), train_config.batch_size):
                 batch = locations[start : start + train_config.batch_size]
-                step += 1
+                state.t += 1
                 try:
                     value, grads = _loss_and_grad(params, batch, system, stats, want_grad=True, work=work)
                     if not math.isfinite(value):
@@ -431,7 +430,7 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
                     _adam_step(params, grads, state, train_config)
                 except (FloatingPointError, NumericalError, np.linalg.LinAlgError) as exc:
                     lr = train_config.learning_rate
-                    raise NumericalError(f"training step {step} at learning_rate {lr} failed: {exc}") from exc
+                    raise NumericalError(f"training step {state.t} at learning_rate {lr} failed: {exc}") from exc
                 batch_losses.append(value)
             mean_loss = float(np.mean(batch_losses))
             history.append(mean_loss)

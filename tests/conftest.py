@@ -3,6 +3,18 @@ import pytest
 
 from irskey import SystemConfig, channel_statistics
 
+# the suite's warning policy, the same for a local run and CI: these warnings fail the test that raises them
+_WARNINGS_AS_ERRORS = (
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+    "error::RuntimeWarning",
+)
+
+
+def pytest_configure(config):
+    for entry in _WARNINGS_AS_ERRORS:
+        config.addinivalue_line("filterwarnings", entry)
+
 
 @pytest.fixture(scope="session")
 def reference_setup():

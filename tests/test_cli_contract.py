@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import pytest
 
-from irskey import cli
+from irskey import cli, neural
 from test_experiments import FULL_INI
 
 
@@ -135,17 +135,41 @@ _BY_ID = {row.id: row for row in ROWS}
 assert len(_BY_ID) == len(ROWS), "two rows share a test id"
 
 
-@pytest.mark.parametrize("row", ROWS, ids=list(_BY_ID))
-def test_cli_contract(row, tmp_path, monkeypatch, capfd):
-    # in-process with every warning an error; capfd also sees writes to fd 2
-    monkeypatch.chdir(tmp_path)
-
+def _in_process(capfd):
+    # cli.main with every warning an error; capfd also sees writes to fd 2
     def run(argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return cli.main(argv), capfd.readouterr().err
 
-    check_contract(row, tmp_path, run)
+    return run
+
+
+@pytest.mark.parametrize("row", ROWS, ids=list(_BY_ID))
+def test_cli_contract(row, tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    check_contract(row, tmp_path, _in_process(capfd))
+
+
+# the network and its Adam state were allocated outside train's MemoryError guard: at M=3000 numpy's
+# _ArrayMemoryError (27 GiB) escaped main() as a traceback. Whether a size is refused depends on the
+# machine's RAM and swap, so each allocation is made to fail at the default sizes instead
+_TRAINING_OUT_OF_MEMORY = [
+    Row(("train",), None, 1, ("memory", "M=4", "L=25", "batch_size 100"), out_dir=True),
+    Row(("sweep",), "[sweep]\nvariable = m\nvalues = 2\nmethods = pkg_net\n", 1,
+        ("memory", "M=2", "L=25", "batch_size 100")),
+]
+
+
+@pytest.mark.parametrize("row", _TRAINING_OUT_OF_MEMORY, ids=[row.id for row in _TRAINING_OUT_OF_MEMORY])
+@pytest.mark.parametrize("allocation", ["init_params", "_AdamState"])
+def test_cli_contract_when_training_runs_out_of_memory(row, allocation, tmp_path, monkeypatch, capfd):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 27.0 GiB")
+
+    monkeypatch.setattr(neural, allocation, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    check_contract(row, tmp_path, _in_process(capfd))
 
 
 @pytest.mark.parametrize("row_id", ["skr : ref_dist_m = 1e-320", "baseline : noise_dbm = -3000", "skr --config missing.ini : no config"])

@@ -141,6 +141,13 @@ def test_forward_invariant_to_precoder_head_scaling(rng):
     npt.assert_allclose(scaled.precoder, base.precoder, atol=1e-12)
 
 
+@pytest.mark.parametrize("location", [(1.0, 2.0), np.full((2, 3), 10.0)], ids=["two coordinates", "two locations"])
+def test_forward_rejects_anything_but_one_location(location, rng):
+    # both used to escape as numpy's "cannot reshape" ValueError
+    with pytest.raises(ConfigError, match="shape"):
+        forward(init_params(2, 4, rng), location, _small_system())
+
+
 def test_forward_zero_parameters_signal_degenerate_head(rng):
     system = _small_system()
     params = _bias_only_params(2, 4, rng)
@@ -236,9 +243,9 @@ def test_gradient_matches_finite_differences_at_high_snr(power_dbm):
 
 
 @pytest.mark.parametrize("m, l_h, l_v, k", [(1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 7), (3, 1, 1, 20), (4, 5, 5, 100)])
-def test_workspace_step_matches_allocating_step(m, l_h, l_v, k):
-    # train's steps write into one workspace; each must give the bits of a fresh one, whatever the
-    # buffers held (NaN here, so a read before a write shows), while the public gradient stays fresh
+def test_reused_workspace_step_matches_fresh_workspace(m, l_h, l_v, k):
+    # train's steps write into one workspace; each must give the bits of loss_and_gradient's fresh one,
+    # whatever the buffers held (NaN here, so a read before a write shows), while the public gradient stays fresh
     system = SystemConfig(M=m, L_h=l_h, L_v=l_v)
     stats = channel_statistics(system)
     rng = np.random.default_rng((m, l_h * l_v, k))
