@@ -135,7 +135,8 @@ def irs_correlation(L_h: int, L_v: int, spacing_wl: float = 0.5) -> np.ndarray:
     Element n sits at grid coordinates (y, z) = (n mod L_h, n // L_h) scaled by
     the spacing; the correlation between two elements is the radial sinc of
     their distance measured in half-wavelength units:
-    sin(2*pi*d/lambda) / (2*pi*d/lambda).
+    sin(2*pi*d/lambda) / (2*pi*d/lambda), evaluated once per grid offset
+    (|dy|, |dz|). A distance past the float range is a ConfigError.
 
     Returns
     -------
@@ -146,12 +147,14 @@ def irs_correlation(L_h: int, L_v: int, spacing_wl: float = 0.5) -> np.ndarray:
         raise ConfigError("surface grid must be at least 1x1")
     if spacing_wl <= 0.0:
         raise ConfigError("element spacing must be positive")
-    n = np.arange(L_h * L_v)
-    y = n % L_h
-    z = n // L_h
-    dist_wl = spacing_wl * np.hypot(y[:, None] - y[None, :], z[:, None] - z[None, :])
-    # np.sinc(x) = sin(pi x)/(pi x), so the argument is 2*d/lambda.
-    return np.sinc(2.0 * dist_wl)
+    dy, dz = np.arange(L_h), np.arange(L_v)
+    with np.errstate(over="ignore"):  # an overflowing distance is rejected below, not warned about
+        # np.sinc(x) = sin(pi x)/(pi x), so the argument is 2*d/lambda; one per offset, [|dz|, |dy|]
+        half_wl = 2.0 * (spacing_wl * np.hypot(dy[None, :], dz[:, None]))
+        if not np.isfinite(np.pi * half_wl).all():
+            raise ConfigError(f"spacing_wl = {spacing_wl}: the distances across the surface overflow the float range")
+    offset_y, offset_z = np.abs(dy[:, None] - dy), np.abs(dz[:, None] - dz)
+    return np.sinc(half_wl)[offset_z[:, None, :, None], offset_y[None, :, None, :]].reshape(L_h * L_v, L_h * L_v)
 
 
 def bs_correlation(eta: float, M: int) -> np.ndarray:
@@ -316,6 +319,8 @@ def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] 
     try:
         r_bs = bs_correlation(config.eta, config.M)
         r_irs = irs_correlation(config.L_h, config.L_v, config.spacing_wl)
+    except ConfigError:  # a ValueError too, but one that names its cause
+        raise
     except (MemoryError, ValueError) as exc:  # ValueError: an array size past what numpy can index
         raise ConfigError(f"correlation matrices for M={config.M}, L={config.L} do not fit in memory") from exc
     return ChannelStatistics(

@@ -89,13 +89,12 @@ def _write_json(path: str, payload: dict) -> None:
 def _cmd_skr(args) -> int:
     system, _, _ = _load(args)
     stats = channel_statistics(system)
-    params = None
-    if args.method == "pkg_net":
-        if args.checkpoint is None:
-            raise ConfigError("pkg_net method needs --checkpoint")
-        params, _ = neural.load_checkpoint(args.checkpoint, system)
+    if args.method == "pkg_net" and args.checkpoint is None:
+        raise ConfigError("pkg_net method needs --checkpoint")
     rng = np.random.default_rng(args.seed or 0)
-    bits, std_error = experiments._method_bits(args.method, system, stats, rng, args.trials, params)
+    [(bits, std_error)] = experiments._methods_bits(
+        (args.method,), system, stats, rng, args.trials, lambda: neural.load_checkpoint(args.checkpoint, system)[0]
+    )
     out_dir = _ensure_out(args)
     payload = {
         "method": args.method,

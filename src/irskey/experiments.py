@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .channel import (
 )
 from .errors import ConfigError
 from .probing import ProbeDesign
-from .skr import closed_form_bits, skr_closed_form
+from .skr import closed_form_bits
 
 __all__ = [
     "SweepSpec",
@@ -152,12 +153,7 @@ def random_design_bits(
     repeated ``random_design`` calls, and evaluated in one batched kernel call.
     The standard error is None for a single trial.
     """
-    if trials < 1:
-        raise ConfigError(f"random trials must be >= 1, got {trials}")
-    precoders, phases = _draw_designs(config, rng, trials)
-    draws = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
-    std_error = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
-    return float(draws.mean()), std_error
+    return _methods_bits(("random",), config, stats, rng, trials, load_net=None)[0]
 
 
 def _override(base: SystemConfig, variable: str, value) -> SystemConfig:
@@ -192,34 +188,37 @@ def _pkg_net_params(
     return neural.train(dataclasses.replace(train_config, seed=seed), cfg)[0]
 
 
-def _method_bits(
-    method: str, config: SystemConfig, stats: ChannelStatistics, rng, trials: int, params
-) -> tuple[float, float | None]:
-    """Closed-form SKR of ``method``'s design, and its standard error (random only).
+def _methods_bits(methods, config: SystemConfig, stats: ChannelStatistics, rng, trials: int, load_net) -> list:
+    """(closed-form SKR, standard error or None) of each of ``methods``, in their order, from one kernel call.
 
-    ``rng`` and ``trials`` serve the random method, ``params`` the pkg_net
-    method; the baseline method uses neither.
+    The batch holds ``trials`` random designs from ``rng``, the baseline's, and the UE position's design of
+    the network ``load_net()`` returns (called for pkg_net only, so the network is freed before scoring).
     """
-    if method == "random":
-        return random_design_bits(config, stats, rng, trials)
-    if method == "baseline":
+    designs = {}
+    if "random" in methods:
+        if trials < 1:
+            raise ConfigError(f"random trials must be >= 1, got {trials}")
+        designs["random"] = _draw_designs(config, rng, trials)
+    if "baseline" in methods:
         design = baseline_design(config, stats)
-    else:  # pkg_net
-        design = neural.forward(params, config.pos_ue, config)
-    return skr_closed_form(design, stats, config.power_b, config.noise).bits, None
+        designs["baseline"] = design.precoder[None], design.phases[None]
+    if "pkg_net" in methods:
+        design = neural.forward(load_net(), config.pos_ue, config)
+        designs["pkg_net"] = design.precoder[None], design.phases[None]
+    precoders, phases = (np.concatenate(parts) for parts in zip(*designs.values()))
+    bits = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
+    per_method = dict(zip(designs, np.split(bits, np.cumsum([len(p) for p, _ in designs.values()])[:-1])))
+    draws = map(per_method.get, methods)
+    return [(float(d.mean()), float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else None) for d in draws]
 
 
 def _evaluate_point(
     spec: SweepSpec, cfg: SystemConfig, index: int, train_config: neural.TrainConfig, checkpoint_dir: str | None
 ) -> list:
-    stats = channel_statistics(cfg)
-    rows = []
-    for method in spec.methods:
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index))) if method == "random" else None
-        params = _pkg_net_params(cfg, index, train_config, checkpoint_dir) if method == "pkg_net" else None
-        bits, std_error = _method_bits(method, cfg, stats, rng, spec.trials, params)
-        rows.append(SweepRow(spec.variable, spec.values[index], method, bits, std_error))
-    return rows
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
+    load_net = functools.partial(_pkg_net_params, cfg, index, train_config, checkpoint_dir)
+    scored = _methods_bits(spec.methods, cfg, channel_statistics(cfg), rng, spec.trials, load_net)
+    return [SweepRow(spec.variable, spec.values[index], method, *bits) for method, bits in zip(spec.methods, scored)]
 
 
 def run_sweep(

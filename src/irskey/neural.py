@@ -248,11 +248,13 @@ def forward(params: NetParams, ue_location, config: SystemConfig) -> ProbeDesign
 
 
 class _Workspace:
-    """A step's (k, hidden) activations and backward products, and its gradient: train reuses one per call."""
+    """A step's (k, hidden) activations and, unless value-only, backward products and gradient: train reuses one."""
 
-    def __init__(self, k: int, params: NetParams) -> None:
-        self.h1, self.h2, self.d_h2, self.d_h1 = (np.empty((k, params.hidden)) for _ in range(4))
-        self.grads = NetParams(params.M, params.L, params.hidden)
+    def __init__(self, k: int, params: NetParams, want_grad: bool = True) -> None:
+        self.h1, self.h2 = (np.empty((k, params.hidden)) for _ in range(2))
+        if want_grad:
+            self.d_h2, self.d_h1 = (np.empty((k, params.hidden)) for _ in range(2))
+            self.grads = NetParams(params.M, params.L, params.hidden)
 
 
 def _loss_and_grad(
@@ -261,8 +263,7 @@ def _loss_and_grad(
     # correlations come from ``stats``, link gains from each location; writes into ``work``
     k = locations.shape[0]
     m = system.M
-    h1, h2, d_h2, d_h1, grads = work.h1, work.h2, work.d_h2, work.d_h1, work.grads
-    precoder, phases, p_cache, t_cache = _forward_core(params, locations, system.power_a, h1, h2)
+    precoder, phases, p_cache, t_cache = _forward_core(params, locations, system.power_a, work.h1, work.h2)
     beta_direct, beta_bs_irs, beta_irs_ue = link_gains(system, locations)
     gamma = beta_bs_irs * beta_irs_ue
     var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
@@ -296,6 +297,7 @@ def _loss_and_grad(
     g_pprime = np.concatenate([2.0 * g_raw_cm.real, 2.0 * g_raw_cm.imag], axis=1)
 
     # back through the MLP, into the flat gradient; h > 0 is a > 0 for h = max(a, 0), NaN included
+    h1, h2, d_h2, d_h1, grads = work.h1, work.h2, work.d_h2, work.d_h1, work.grads
     np.matmul(g_pprime.T, h2, out=grads.Wp)
     g_pprime.sum(axis=0, out=grads.bp)
     np.matmul(g_tprime.T, h2, out=grads.Wt)
@@ -315,8 +317,8 @@ def _loss_and_grad(
 def loss(params: NetParams, batch_locations, config: SystemConfig) -> float:
     """Negative batch-mean SKR in bits (exact closed form, per-sample link gains); an overflowing covariance raises."""
     locs = _as_location_array(batch_locations)
-    value, _ = _loss_and_grad(params, locs, config, channel_statistics(config), False, _Workspace(len(locs), params))
-    return value
+    work = _Workspace(len(locs), params, want_grad=False)
+    return _loss_and_grad(params, locs, config, channel_statistics(config), False, work)[0]
 
 
 def loss_and_gradient(params: NetParams, batch_locations, config: SystemConfig):

@@ -149,25 +149,20 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     roundoff scale of ``nats``). With ``want_grad``, g_a = dMI/dA^* =
     D1 A T1 - D2 A T2 and g_var = dMI/dvar = tr(T1 A^H lam A) / N -
     tr(T2 A^H (N lam / (power_b s + N)^2) A), T_i = (I + A^H D_i A)^-1;
-    otherwise both are None.
+    otherwise both are None. D1 and D2 are stacked on a new first axis, so
+    one factorization (and one inversion) serves both matrices.
     """
     s = var[..., None] * lam
     den = power_b * s + noise
-    d1 = s / noise
-    d2 = s / den
-    eye = np.eye(a.shape[-1])
-    a_h = np.swapaxes(a, -1, -2).conj()
-    k1 = eye + a_h @ (d1[..., None] * a)
-    k2 = eye + a_h @ (d2[..., None] * a)
-    ld1, ld2 = _logdet_psd(k1), _logdet_psd(k2)
+    d = np.stack([s / noise, s / den])  # D1, D2
+    k = np.eye(a.shape[-1]) + np.swapaxes(a, -1, -2).conj() @ (d[..., None] * a)
+    ld1, ld2 = _logdet_psd(k)
     nats, magnitude = ld1 - ld2, np.abs(ld1) + np.abs(ld2)
     if not want_grad:
         return nats, magnitude, None, None
-    x1 = a @ np.linalg.inv(k1)
-    x2 = a @ np.linalg.inv(k2)
-    g_a = d1[..., None] * x1 - d2[..., None] * x2
-    w1 = np.sum(x1 * a.conj(), axis=-1).real  # diagonals of A T_i A^H
-    w2 = np.sum(x2 * a.conj(), axis=-1).real
+    x = a @ np.linalg.inv(k)  # A T_1, A T_2
+    g_a = np.subtract(*(d[..., None] * x))
+    w1, w2 = np.sum(x * a.conj(), axis=-1).real  # diagonals of A T_i A^H
     g_var = np.sum(lam * (w1 / noise - w2 * (noise / den) / den), axis=-1)  # den**2 may overflow
     return nats, magnitude, g_a, g_var
 

@@ -76,6 +76,27 @@ def test_irs_correlation_rejects_bad_sizes():
         irs_correlation(3, 3, spacing_wl=0.0)
 
 
+@pytest.mark.parametrize("l_h, l_v", [(1, 1), (1, 7), (7, 1), (3, 7), (12, 12)])
+@pytest.mark.parametrize("spacing", [0.37, 0.5])
+def test_irs_correlation_table_gather_equals_the_sinc_of_every_pair(l_h, l_v, spacing):
+    # the per-offset table must reproduce the sinc evaluated over all L^2 pairs, bit for bit
+    n = np.arange(l_h * l_v)
+    y, z = n % l_h, n // l_h
+    want = np.sinc(2.0 * (spacing * np.hypot(y[:, None] - y[None, :], z[:, None] - z[None, :])))
+    assert np.array_equal(irs_correlation(l_h, l_v, spacing), want)
+
+
+def test_irs_correlation_overflowing_spacing_is_a_config_error():
+    # the distances overflowed into a NaN matrix with a RuntimeWarning
+    with np.errstate(all="raise"):
+        with pytest.raises(ConfigError, match="spacing_wl"):
+            irs_correlation(3, 3, 1e308)
+        with pytest.raises(ConfigError, match="spacing_wl"):
+            irs_correlation(3, 3, 2.5e307)  # the distance is finite, but pi times it is not
+        assert np.isfinite(irs_correlation(3, 3, 1e300)).all()
+        assert np.array_equal(irs_correlation(1, 1, 1e308), np.ones((1, 1)))  # no distance to overflow
+
+
 # --------------------------------------------------------------------------
 # antenna correlation
 

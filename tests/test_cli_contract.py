@@ -128,6 +128,9 @@ ROWS = [
         ("spacing_wl", "inf"), ("eta", "nan"), ("power_a_dbm", "inf"), ("power_b_dbm", "nan"), ("noise_dbm", "nan"),
         ("ref_loss_db", "nan"), ("ref_dist_m", "inf"), ("alpha_direct", "nan"), ("alpha_bs_irs", "-inf"),
         ("alpha_irs_ue", "nan"), ("pos_bs_m", "5 nan 0"), ("pos_irs_m", "0 0 inf"), ("pos_ue_m", "inf 10 0"))),
+    # the distance across the surface overflowed: exit 2 with "overflow encountered in multiply", naming no key
+    Row(("skr",), "[system]\nspacing_wl = 1e308\n", 1, ("spacing_wl",)),
+    Row(("skr",), "[system]\nspacing_wl = 1e300\n", 0),
     # a config file that cannot be read is an I/O failure, not a configuration error
     Row(("skr", "--config", "missing.ini"), None, 3, ("missing.ini",)),
 ]

@@ -235,6 +235,57 @@ def test_run_sweep_uses_checkpoints_when_given(tmp_path):
     assert stats_bits == pytest.approx(want, rel=1e-12)
 
 
+def _spy_closed_form(monkeypatch):
+    # records the batch size K of every closed_form_bits call the experiments module makes
+    real, sizes = experiments.closed_form_bits, []
+
+    def spy(precoders, *args):
+        sizes.append(len(precoders))
+        return real(precoders, *args)
+
+    monkeypatch.setattr(experiments, "closed_form_bits", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("methods", [("pkg_net", "baseline", "random"), ("random", "pkg_net"), ("baseline", "random"),
+                                     ("baseline",), ("pkg_net",), ("random",)])
+def test_run_sweep_scores_each_point_in_one_closed_form_call(methods, tmp_path, monkeypatch):
+    from irskey.experiments import checkpoint_name
+
+    base = SystemConfig(M=3)
+    spec = SweepSpec("l", (4, 9, 16), methods=methods, trials=7, seed=5)
+    configs = [dataclasses.replace(base, L_h=side, L_v=side) for side in (2, 3, 4)]
+    nets = [neural.init_params(cfg.M, cfg.L, np.random.default_rng(cfg.L)) for cfg in configs]
+    for cfg, params in zip(configs, nets):
+        neural.save_checkpoint(str(tmp_path / checkpoint_name(cfg)), params)
+    sizes = _spy_closed_form(monkeypatch)
+    rows = run_sweep(spec, base, checkpoint_dir=str(tmp_path), max_workers=1).rows
+    k = ("random" in methods) * spec.trials + len(set(methods) - {"random"})
+    assert sizes == [k] * len(configs)
+    assert [(row.value, row.method) for row in rows] == [(v, m) for v in spec.values for m in methods]
+    for index, (cfg, params) in enumerate(zip(configs, nets)):
+        stats = channel_statistics(cfg)
+        for row in rows[index * len(methods) : (index + 1) * len(methods)]:
+            if row.method == "random":  # the same bits as the draws scored alone
+                rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
+                assert (row.skr_bits, row.std_error) == random_design_bits(cfg, stats, rng, spec.trials)
+                continue
+            design = baseline_design(cfg, stats) if row.method == "baseline" else neural.forward(params, cfg.pos_ue, cfg)
+            want = skr_closed_form(design, stats, cfg.power_b, cfg.noise).bits
+            assert row.std_error is None and abs(row.skr_bits - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("method, k", [("baseline", 1), ("random", 9), ("pkg_net", 1)])
+def test_cli_skr_scores_through_the_sweep_helper(method, k, tmp_path, monkeypatch):
+    cfg = _write_cli_config(tmp_path)
+    ckpt = tmp_path / "net.ckpt"
+    neural.save_checkpoint(str(ckpt), neural.init_params(2, 4, np.random.default_rng(0)))
+    sizes = _spy_closed_form(monkeypatch)
+    argv = ["skr", "--config", cfg, "--method", method, "--trials", "9", "--checkpoint", str(ckpt)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert sizes == [k]
+
+
 def test_run_sweep_missing_checkpoint_errors(tmp_path):
     spec = SweepSpec("power", (10.0,), methods=("pkg_net",))
     with pytest.raises(ConfigError):

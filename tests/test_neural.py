@@ -180,6 +180,24 @@ def test_loss_repeated_locations_match_single(rng):
     )
 
 
+@pytest.mark.parametrize("m, l_h, l_v, k", [(2, 2, 2, 1), (4, 5, 5, 100)])
+def test_loss_allocates_no_backward_pass(m, l_h, l_v, k, rng, monkeypatch):
+    # loss built the backward buffers and a gradient NetParams that a value-only step never writes
+    system = SystemConfig(M=m, L_h=l_h, L_v=l_v)
+    params = init_params(m, system.L, rng)
+    batch = np.column_stack([rng.uniform(5, 15, k), rng.uniform(5, 15, k), np.zeros(k)])
+    stats = channel_statistics(system)
+    full = neural._Workspace(k, params)
+    want = neural._loss_and_grad(params, batch, system, stats, False, full)[0]
+    built = []
+    monkeypatch.setattr(neural, "NetParams", lambda *sizes: built.append(sizes) or NetParams(*sizes))
+    value = loss(params, batch, system)
+    assert built == []
+    assert value == want == loss_and_gradient(params, batch, system)[0]  # bit for bit
+    assert len(built) == 1  # the spy does see the gradient a full step builds
+    assert not hasattr(neural._Workspace(k, params, want_grad=False), "grads")
+
+
 # --------------------------------------------------------------------------
 # gradient
 

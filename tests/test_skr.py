@@ -296,6 +296,45 @@ def test_closed_form_certificates_only_skip_work(rng, monkeypatch):
         skr.closed_form_bits(precoders, phases, _direct_only_stats(-np.eye(3)), 10.0, 1e-9)
 
 
+def _whitened_mi_two_calls(a, lam, var, power_b, noise, want_grad):
+    # the core with each of I + A^H D1 A and I + A^H D2 A factored and inverted in its own call
+    s = var[..., None] * lam
+    den = power_b * s + noise
+    d1, d2 = s / noise, s / den
+    eye = np.eye(a.shape[-1])
+    a_h = np.swapaxes(a, -1, -2).conj()
+    k1 = eye + a_h @ (d1[..., None] * a)
+    k2 = eye + a_h @ (d2[..., None] * a)
+    ld1, ld2 = skr._logdet_psd(k1), skr._logdet_psd(k2)
+    nats, magnitude = ld1 - ld2, np.abs(ld1) + np.abs(ld2)
+    if not want_grad:
+        return nats, magnitude, None, None
+    x1 = a @ np.linalg.inv(k1)
+    x2 = a @ np.linalg.inv(k2)
+    g_a = d1[..., None] * x1 - d2[..., None] * x2
+    w1 = np.sum(x1 * a.conj(), axis=-1).real
+    w2 = np.sum(x2 * a.conj(), axis=-1).real
+    g_var = np.sum(lam * (w1 / noise - w2 * (noise / den) / den), axis=-1)
+    return nats, magnitude, g_a, g_var
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("k", [1, 100])
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_whitened_mi_stacked_matches_two_call_reference(m, k, want_grad):
+    # D1 and D2 share one Cholesky, one inversion and one product; every output keeps its bits
+    rng = np.random.default_rng(10 * m + k)
+    stats = channel_statistics(SystemConfig(M=m, L_h=3, L_v=3))
+    lam, basis = stats.R_bs_eigh
+    designs = [_random_design(m, stats.L, rng) for _ in range(k)]
+    a = basis.conj().T @ np.stack([d.precoder for d in designs]).conj()
+    var = skr._variance(np.stack([d.phases for d in designs]), stats)[0]
+    got = skr._whitened_mi(a, lam, var, 10.0, 1e-9, want_grad=want_grad)
+    want = _whitened_mi_two_calls(a, lam, var, 10.0, 1e-9, want_grad)
+    for got_part, want_part in zip(got, want):
+        assert (got_part is None and want_part is None) or np.array_equal(got_part, want_part)
+
+
 def test_closed_form_matches_monte_carlo(small_stats, rng):
     des = _random_design(2, 4, rng)
     closed = skr_closed_form(des, small_stats, 10.0, 1e-9).bits
