@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _fits_in_memory
 
 __all__ = [
     "SystemConfig",
@@ -316,13 +316,9 @@ def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] 
             f"no signal path: the BS-UE link gain ({beta_direct:.3e}) and the BS-surface-UE cascade gain "
             f"({beta_bs_irs:.3e} x {beta_irs_ue:.3e}) both underflow to 0"
         )
-    try:
+    with _fits_in_memory(f"correlation matrices for M={config.M}, L={config.L}"):
         r_bs = bs_correlation(config.eta, config.M)
         r_irs = irs_correlation(config.L_h, config.L_v, config.spacing_wl)
-    except ConfigError:  # a ValueError too, but one that names its cause
-        raise
-    except (MemoryError, ValueError) as exc:  # ValueError: an array size past what numpy can index
-        raise ConfigError(f"correlation matrices for M={config.M}, L={config.L} do not fit in memory") from exc
     return ChannelStatistics(
         R_bs=r_bs,
         R_irs=r_irs,

@@ -24,7 +24,7 @@ from .channel import (
     channel_statistics,
     dbm_to_mw,
 )
-from .errors import ConfigError
+from .errors import ConfigError, _fits_in_memory
 from .probing import ProbeDesign
 from .skr import closed_form_bits
 
@@ -124,11 +124,9 @@ def _draw_designs(
     factor and the phase exponential run once over all trials.
     """
     m, l = config.M, config.L
-    try:
+    with _fits_in_memory(f"{trials} random designs of M={m}, L={l}"):
         normals = np.empty((trials, 2, m, m))
         angles = np.empty((trials, l))
-    except MemoryError as exc:
-        raise ConfigError(f"{trials} random designs of M={m}, L={l} do not fit in memory") from exc
     for k in range(trials):
         rng.standard_normal(out=normals[k])
         rng.random(out=angles[k])

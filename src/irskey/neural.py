@@ -24,7 +24,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .channel import ChannelStatistics, SystemConfig, _numbers, _require_finite, channel_statistics, link_gains
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _fits_in_memory
 from .probing import ProbeDesign
 from .skr import _LN2, _variance, _whitened_mi
 
@@ -361,12 +361,10 @@ def _adam_step(params: NetParams, grads: NetParams, state: _AdamState, cfg: Trai
 
 def _draw_locations(rng: np.random.Generator, n: int, region) -> np.ndarray:
     (x_lo, x_hi), (y_lo, y_hi) = region
-    try:
+    with _fits_in_memory(f"samples_per_epoch {n}: the UE locations of an epoch"):
         x = rng.uniform(x_lo, x_hi, n)
         y = rng.uniform(y_lo, y_hi, n)
         return np.column_stack([x, y, np.zeros(n)])
-    except MemoryError as exc:
-        raise ConfigError(f"samples_per_epoch {n}: the UE locations of an epoch do not fit in memory") from exc
 
 
 def _check_region(system: SystemConfig, region) -> None:
@@ -404,13 +402,11 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
         _check_region(system, train_config.ue_region)
         stats = channel_statistics(system)
         rng = np.random.default_rng(train_config.seed)
-        try:
+        sizes = f"M={system.M}, L={system.L}, batch_size {train_config.batch_size}"
+        with _fits_in_memory(f"training at {sizes}: the network and a step"):
             params = init_params(system.M, system.L, rng)
             state = _AdamState(params.vec.size)
             work = _Workspace(train_config.batch_size, params)
-        except MemoryError as exc:
-            sizes = f"M={system.M}, L={system.L}, batch_size {train_config.batch_size}"
-            raise ConfigError(f"training at {sizes}: the network and a step do not fit in memory") from exc
         fixed_set = None
         if not train_config.fresh_samples:
             fixed_set = _draw_locations(rng, train_config.samples_per_epoch, train_config.ue_region)

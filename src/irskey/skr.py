@@ -17,7 +17,7 @@ import numpy as np
 
 from ._blas import parallel_map
 from .channel import ChannelStatistics, _complex_normal, _hermitian_part
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _fits_in_memory
 from .probing import ProbeDesign, downlink_probe, uplink_probe
 
 __all__ = [
@@ -352,14 +352,10 @@ def skr_monte_carlo(
         raise NumericalError("precoder has non-finite entries")
     _, sv, vh = np.linalg.svd(design.precoder)
     rank = int(_rank(sv, m))
-    try:
+    with _fits_in_memory(f"{n_samples} Monte Carlo samples ({per_batch} per batch)"):
         moments = parallel_map(
             lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), rng.spawn(n_batches)
         )
-    except MemoryError as exc:
-        raise ConfigError(
-            f"{n_samples} Monte Carlo samples ({per_batch} per batch) do not fit in memory"
-        ) from exc
     if rank < m:  # [y_a, y_b] -> [y_a in an orthonormal basis of the range of P^T, y_b]
         t = np.zeros((2 * m, rank + m), dtype=complex)
         t[:m, :rank] = vh[:rank].conj().T

@@ -123,6 +123,16 @@ ROWS = [
     *(Row(("train",), f"[train]\nsamples_per_epoch = {10**12}\nbatch_size = {batch}\nfresh_samples = {fresh}\n", 1,
           ("memory", named), out_dir=True) for fresh in ("true", "false")
       for batch, named in ((10**12, f"batch_size {10**12}"), (100, f"samples_per_epoch {10**12}"))),
+    # each size is past numpy's index range, so numpy refuses it with a ValueError before asking for
+    # memory and the row does not depend on the machine's RAM; that ValueError escaped main() as a traceback
+    *(Row(argv, ini, 1, (named, "do not fit in memory"), out_dir=argv == ("train",)) for argv, ini, named in (
+        (("skr", "--method", "random", "--trials", str(10**18)), None, f"{10**18} random designs"),
+        (("sweep",), f"[sweep]\nvariable = m\nvalues = 2\nmethods = random\ntrials = {10**18}\n",
+         f"{10**18} random designs"),
+        (("mc-check", "--samples", str(10**19)), None, f"{10**19} Monte Carlo samples"),
+        *((("train",), f"[train]\nsamples_per_epoch = {10**21}\nfresh_samples = {fresh}\n",
+           f"samples_per_epoch {10**21}") for fresh in ("true", "false")),
+        (("train",), f"[train]\nsamples_per_epoch = {10**20}\nbatch_size = {10**20}\n", f"batch_size {10**20}"))),
     # NaN passed the "<= 0" checks and ran into water-filling (exit 2)
     *(Row(("baseline",), f"[system]\n{key} = {value}\n", 1, ("finite",)) for key, value in (
         ("spacing_wl", "inf"), ("eta", "nan"), ("power_a_dbm", "inf"), ("power_b_dbm", "nan"), ("noise_dbm", "nan"),
@@ -175,9 +185,12 @@ def test_cli_contract_when_training_runs_out_of_memory(row, allocation, tmp_path
     check_contract(row, tmp_path, _in_process(capfd))
 
 
-@pytest.mark.parametrize("row_id", ["skr : ref_dist_m = 1e-320", "baseline : noise_dbm = -3000", "skr --config missing.ini : no config"])
+@pytest.mark.parametrize("row_id", ["skr : ref_dist_m = 1e-320", "baseline : noise_dbm = -3000",
+                                    "skr --config missing.ini : no config",
+                                    "skr --method random --trials 1000000000000000000 : no config"])
 def test_cli_contract_in_a_real_process(row_id, tmp_path):
-    # python -m irskey.cli under the default warning filters, one row per failing exit code
+    # python -m irskey.cli under the default warning filters, one row per failing exit code, and a size past
+    # numpy's index range: an escaped ValueError exits 1 too, so only the no-traceback check tells it apart
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
     def run(argv):

@@ -345,14 +345,34 @@ def test_train_progress_callback_and_history():
     validate_design(forward(params, (10.0, 10.0, 0.0), system), system.power_a)
 
 
-def test_train_fixed_sample_mode_differs_but_converges():
+def test_train_fixed_sample_mode_differs_but_converges(monkeypatch):
+    # fixed: every epoch trains on a reshuffle of one set drawn once; fresh: each epoch draws its own set
     system = _small_system()
-    fresh = TrainConfig(epochs=2, samples_per_epoch=40, batch_size=20, seed=5)
+    real, batches = neural._loss_and_grad, []
+
+    def spy(params, locations, *args, **kwargs):
+        batches.append(locations.copy())
+        return real(params, locations, *args, **kwargs)
+
+    def epochs_trained_on(cfg):
+        batches.clear()
+        _, history = train(cfg, system)
+        per_epoch = len(batches) // cfg.epochs
+        epochs = [np.concatenate(batches[e * per_epoch:(e + 1) * per_epoch]) for e in range(cfg.epochs)]
+        return history, epochs, [epoch[np.lexsort(epoch.T)] for epoch in epochs]
+
+    monkeypatch.setattr(neural, "_loss_and_grad", spy)
+    fresh = TrainConfig(epochs=3, samples_per_epoch=40, batch_size=20, seed=5)
     fixed = dataclasses.replace(fresh, fresh_samples=False)
-    _, hist_fresh = train(fresh, system)
-    _, hist_fixed = train(fixed, system)
+    hist_fresh, _, fresh_sets = epochs_trained_on(fresh)
+    hist_fixed, fixed_epochs, fixed_sets = epochs_trained_on(fixed)
     assert hist_fresh != hist_fixed
     assert all(math.isfinite(h) for h in hist_fixed)
+    for e in range(1, fixed.epochs):
+        npt.assert_array_equal(fixed_sets[e], fixed_sets[0])
+        assert not np.array_equal(fixed_epochs[e], fixed_epochs[e - 1])  # reshuffled, not replayed
+        assert not np.array_equal(fresh_sets[e], fresh_sets[e - 1])
+        assert not np.isin(fresh_sets[e][:, 0], fresh_sets[e - 1][:, 0]).any()
 
 
 def test_train_divergence_abort(monkeypatch):
