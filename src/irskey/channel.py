@@ -347,39 +347,34 @@ def _complex_normal(rng: np.random.Generator, size: int, var: float) -> np.ndarr
     return out
 
 
-def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one correlated realization of all links.
+def _iid_factors(stats: ChannelStatistics, n: int, rng: np.random.Generator):
+    """The i.i.d. factors (h_iid [n, M], g_re, g_im [n, M, L], f_iid [n, L]) of ``n`` realizations.
 
-    Draw order is fixed: direct vector, then the BS-surface matrix in
-    column-major element order, then the surface-UE vector. Correlation is
-    applied by multiplying i.i.d. factors with the PSD square roots.
-    """
-    M, L = stats.M, stats.L
-    h_iid = _complex_normal(rng, M, stats.beta_direct)
-    g_iid = _complex_normal(rng, M * L, stats.beta_bs_irs).reshape((M, L), order="F")
-    f_iid = _complex_normal(rng, L, stats.beta_irs_ue)
-    h = stats.R_bs_sqrt @ h_iid
-    G = stats.R_bs_sqrt @ g_iid @ stats.R_irs_sqrt
-    f = stats.R_irs_sqrt @ f_iid
-    cascade = np.concatenate([h, (G * f[None, :]).ravel(order="F")])
-    return ChannelRealization(h=h, G=G, f=f, cascade=cascade)
-
-
-def sample_batch(stats: ChannelStatistics, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draw of ``n`` independent realizations.
-
-    Returns (h, G, f) with shapes (n, M), (n, M, L), (n, L). Statistically
-    identical to repeated ``sample_realization`` calls but with its own draw
-    order, so streams do not interleave.
+    They are drawn in this order, the package's one. h_iid and f_iid carry their link gains;
+    g_re and g_im are standard normal, so g_iid = sqrt(beta_bs_irs / 2) (g_re + 1j g_im).
     """
     M, L = stats.M, stats.L
     h_iid = _complex_normal(rng, n * M, stats.beta_direct).reshape(n, M)
-    g_iid = _complex_normal(rng, n * M * L, stats.beta_bs_irs).reshape(n, M, L)
+    g_re = rng.standard_normal((n, M, L))
+    g_im = rng.standard_normal((n, M, L))
     f_iid = _complex_normal(rng, n * L, stats.beta_irs_ue).reshape(n, L)
-    h = h_iid @ stats.R_bs_sqrt.T
-    G = stats.R_bs_sqrt @ g_iid @ stats.R_irs_sqrt
-    f = f_iid @ stats.R_irs_sqrt.T
-    return h, G, f
+    return h_iid, g_re, g_im, f_iid
+
+
+def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one correlated realization of all links: row 0 of ``sample_batch(stats, 1, rng)``."""
+    h, G, f = (x[0] for x in sample_batch(stats, 1, rng))
+    return ChannelRealization(h=h, G=G, f=f, cascade=np.concatenate([h, (G * f).ravel(order="F")]))
+
+
+def sample_batch(stats: ChannelStatistics, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n`` independent realizations (h, G, f), shapes (n, M), (n, M, L), (n, L).
+
+    Correlation is applied by multiplying the factors of ``_iid_factors`` with the PSD square roots.
+    """
+    h_iid, g_re, g_im, f_iid = _iid_factors(stats, n, rng)
+    G = stats.R_bs_sqrt @ (np.sqrt(stats.beta_bs_irs / 2.0) * (g_re + 1j * g_im)) @ stats.R_irs_sqrt
+    return h_iid @ stats.R_bs_sqrt.T, G, f_iid @ stats.R_irs_sqrt.T
 
 
 def _numbers(raw: str, count: int | None = None) -> tuple[float, ...]:

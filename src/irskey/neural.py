@@ -107,6 +107,8 @@ class TrainConfig:
         (x_lo, x_hi), (y_lo, y_hi) = self.ue_region
         if not (x_lo < x_hi and y_lo < y_hi):
             raise ConfigError("ue_region must span a nonempty rectangle")
+        if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+            raise ConfigError(f"ue_region {self.ue_region}: a side's length overflows the float range")
 
 
 def _region(raw: str) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import parallel_map
-from .channel import ChannelStatistics, _complex_normal, _hermitian_part
+from .channel import ChannelStatistics, _complex_normal, _hermitian_part, _iid_factors
 from .errors import ConfigError, NumericalError, _fits_in_memory
 from .probing import ProbeDesign, downlink_probe, uplink_probe
 
@@ -77,9 +77,9 @@ def _mi_bits_from_joint(joint: np.ndarray, m: int) -> np.ndarray:
     return (ld_a + ld_b - ld_j) / _LN2
 
 
-def _rank(sv: np.ndarray, m: int) -> np.ndarray:
-    """Rank of a precoder from its singular values (descending on the last axis): those above M eps s_max."""
-    return np.sum(sv > m * np.finfo(float).eps * sv[..., :1], axis=-1)
+def _kept(sv: np.ndarray, m: int) -> np.ndarray:
+    """Which singular values of a precoder (descending on the last axis) count: those above M eps s_max."""
+    return sv > m * np.finfo(float).eps * sv[..., :1]
 
 
 def _variance(phases: np.ndarray, stats: ChannelStatistics, gains=None):
@@ -168,10 +168,11 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
 
 
 # The unrotated core forms A^H D A with an error of ~eps times its largest
-# entry, S = max(D) tr(G) for the precoder Gram G. A weak precoder direction
-# (singular value ratio rho) sees that error against its own SNR rho^2 S, so
-# the rate moves by up to ~eps S / (1 + rho^2 S) nats. Designs whose bound may
-# exceed this fraction of their rate are evaluated in the singular basis of P.
+# entry, at most S = max(D) max_j G_jj for the precoder Gram G = A^H A. A weak
+# precoder direction (s_min^2 = rho^2 max_j G_jj) has an SNR of at least
+# min(D) s_min^2 = rho^2 S / kappa, kappa = lam_max / lam_min of R_bs, so the
+# rate moves by up to ~eps S / (1 + rho^2 S / kappa) nats. Designs whose bound
+# may exceed this fraction of their rate are evaluated in the singular basis of P.
 _UNROTATED_RTOL = 1e-14
 
 
@@ -185,13 +186,14 @@ def closed_form_bits(
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
     Every design goes through ``_whitened_mi`` with A = U^H P^*, and keeps that
-    rate unless its singular values fail s_min^2 > tau sum(s_i^2), where tau
+    rate unless its singular values fail s_min^2 > tau max_j G_jj, where tau
     >= M eps makes the rate accurate to _UNROTATED_RTOL. Designs that fail are
-    evaluated in the singular basis of P: singular values s_i <= M eps s_max
-    are roundoff and dropped (a zero precoder reads 0 bits), the rest span the
-    range of P^* that the uplink observes, and R_bs is compressed onto it. A
-    Cholesky certificate on G - tau tr(G) I, judged per design, proves the
-    test and skips the SVD, so a design's bits do not depend on the batch.
+    evaluated together in the singular basis of P: singular values s_i <= M eps
+    s_max are roundoff and zeroed with their range basis columns (a zero
+    precoder reads 0 bits), the rest span the range of P^* that the uplink
+    observes, and R_bs is compressed onto it. A Cholesky certificate on
+    G - tau max_j G_jj I, judged per design, proves the test and skips the SVD,
+    so a design's bits do not depend on the batch.
     """
     p = np.asarray(precoders)
     gram = np.swapaxes(p, -1, -2) @ p.conj()
@@ -204,22 +206,20 @@ def closed_form_bits(
     m = p.shape[-1]
     eps = np.finfo(float).eps
     nats, magnitude, _, _ = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
-    trace = np.einsum("kii->k", gram).real
+    scale = np.einsum("kii->ki", gram).real.max(axis=-1)  # max_j G_jj
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero precoder has no rate to keep
-        bound = eps / (_UNROTATED_RTOL * nats) - noise / (var * lam[-1] * trace)
-        tau = np.where(nats > 0.0, np.clip(bound, m * eps, 1.0), 1.0)
-    doubt = np.flatnonzero(~_positive_definite(gram - (tau * trace)[:, None, None] * np.eye(m)))
+        bound = eps / (_UNROTATED_RTOL * nats) - noise / (var * lam[-1] * scale)
+        tau = np.where(nats > 0.0, np.clip(bound * (lam[-1] / lam[0]), m * eps, 1.0), 1.0)
+    doubt = np.flatnonzero(~_positive_definite(gram - (tau * scale)[:, None, None] * np.eye(m)))
     if doubt.size:
         left, sv, _ = np.linalg.svd(p[doubt])
-        weak = sv[:, -1] ** 2 <= tau[doubt] * np.sum(sv**2, axis=-1)  # the certificate's test
-        rank = np.where(weak, _rank(sv, m), 0)  # 0: keep (P = 0 reads 0 bits)
-        for r in np.unique(rank[rank > 0]):
-            part = rank == r
-            range_ = left[part][..., :r].conj()  # orthonormal basis of the range of P^*
-            lam_r, basis_r = np.linalg.eigh(np.swapaxes(range_, -1, -2).conj() @ stats.R_bs @ range_)
-            a = np.swapaxes(basis_r, -1, -2).conj() * sv[part][:, None, :r]  # P^* = range_ diag(sv) V_r^T
-            rows = doubt[part]
-            nats[rows], magnitude[rows], _, _ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
+        weak = sv[:, -1] ** 2 <= tau[doubt] * scale[doubt]  # the certificate's test
+        keep = _kept(sv[weak], m)  # the rest are roundoff, zeroed with their columns of the range basis
+        range_ = left[weak].conj() * keep[:, None, :]  # orthonormal basis of the range of P^*, padded with 0
+        lam_r, basis_r = np.linalg.eigh(np.swapaxes(range_, -1, -2).conj() @ stats.R_bs @ range_)
+        a = np.swapaxes(basis_r, -1, -2).conj() * (keep * sv[weak])[:, None, :]  # P^* = range_ diag(sv) V^T
+        rows = doubt[weak]
+        nats[rows], magnitude[rows], _, _ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
     return _nonnegative_bits(nats / _LN2, magnitude / _LN2)
 
 
@@ -289,18 +289,15 @@ def _batch_second_moment(
 ) -> np.ndarray:
     """Unnormalized 2M x 2M second moment of n simulated observation pairs [y_a, y_b].
 
-    Draws in ``sample_batch`` order (h, g, f), then the BS noise, then the UE
+    Draws in ``_iid_factors`` order (h, g, f), then the BS noise, then the UE
     noise, but never forms G = R_bs^1/2 g R_irs^1/2: per round, in row form,
     h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with
     v = (phases o (f_iid R_irs^1/2^T)) R_irs^1/2^T, and g stays as its real
     and imaginary blocks. The rows c of combined channels then go through
     ``uplink_probe`` and ``downlink_probe``.
     """
-    m, l = stats.M, stats.L
-    h_iid = _complex_normal(rng, n * m, stats.beta_direct).reshape(n, m)
-    g_re = rng.standard_normal((n, m, l))
-    g_im = rng.standard_normal((n, m, l))
-    f_iid = _complex_normal(rng, n * l, stats.beta_irs_ue).reshape(n, l)
+    m = stats.M
+    h_iid, g_re, g_im, f_iid = _iid_factors(stats, n, rng)
     noise_a = _complex_normal(rng, n * m, noise).reshape(n, m)
     noise_b = _complex_normal(rng, n * m, noise).reshape(n, m)
     r_irs = stats.R_irs_sqrt.T
@@ -351,11 +348,13 @@ def skr_monte_carlo(
     if not np.isfinite(design.precoder).all():
         raise NumericalError("precoder has non-finite entries")
     _, sv, vh = np.linalg.svd(design.precoder)
-    rank = int(_rank(sv, m))
+    rank = int(np.sum(_kept(sv, m)))
     with _fits_in_memory(f"{n_samples} Monte Carlo samples ({per_batch} per batch)"):
-        moments = parallel_map(
-            lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), rng.spawn(n_batches)
-        )
+        try:
+            streams = rng.spawn(n_batches)
+        except OverflowError as exc:  # numpy counts child streams in a C long
+            raise ConfigError(f"{n_batches} batches are more streams than numpy can spawn") from exc
+        moments = parallel_map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
     if rank < m:  # [y_a, y_b] -> [y_a in an orthonormal basis of the range of P^T, y_b]
         t = np.zeros((2 * m, rank + m), dtype=complex)
         t[:m, :rank] = vh[:rank].conj().T

@@ -325,6 +325,16 @@ def test_complex_normal_is_bit_identical_to_the_complex_expression():
         npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_sample_realization_is_row_zero_of_a_batch_of_one(small_stats):
+    # one draw order for the package: a single realization reads the stream as sample_batch does
+    for seed in range(3):
+        one = sample_realization(small_stats, np.random.default_rng(seed))
+        batch = sample_batch(small_stats, 1, np.random.default_rng(seed))
+        for got, want in zip((one.h, one.G, one.f), batch):
+            assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()
+        npt.assert_array_equal(one.cascade, np.concatenate([one.h, (one.G * one.f).ravel(order="F")]))
+
+
 def test_sampling_is_seed_deterministic(small_stats):
     a = sample_realization(small_stats, np.random.default_rng(5))
     b = sample_realization(small_stats, np.random.default_rng(5))

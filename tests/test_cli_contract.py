@@ -89,6 +89,9 @@ ROWS = [
     Row(("mc-check",), "[system]\nnoise_dbm = -250\n", 2,
         ("numerical failure: sample covariance of batch 0 is singular in float64 at this SNR\n",)),
     Row(("train",), "[train]\nue_region = 0.5, 30, 0.5, 30\n", 1, ("ue_region",), out_dir=True),
+    # a side longer than the float range escaped main() as an OverflowError from rng.uniform
+    *(Row(("train",), f"[train]\nue_region = {region}\n", 1, ("ue_region",), out_dir=True)
+      for region in ("-1e308, 1e308, 5, 15", "7, 15, -1e308, 1e308")),
     # the first four trained to NaN weights and exited 0; the last escaped as an OverflowError
     *(Row(("train",), f"{_ONE_STEP}{entry}\n", 1) for entry in (
         "learning_rate = nan", "adam_eps = 0", "adam_beta1 = 1.0", "adam_beta2 = 1.0", "ue_region = -inf, inf, 5, 15")),
@@ -118,6 +121,8 @@ ROWS = [
     # each buffer is far beyond any address space, so the allocation fails at
     # once; numpy's MemoryError used to escape main() as a traceback
     Row(("mc-check", "--samples", str(10**15), "--batches", "2"), None, 1, ("memory",)),
+    # numpy counts child streams in a C long: 2**63 batches escaped main() as an OverflowError from rng.spawn
+    Row(("mc-check", "--samples", str(8 * 2**63), "--batches", str(2**63)), None, 1, (f"{2**63} batches",)),
     Row(("skr", "--method", "random", "--trials", str(10**15)), None, 1, ("memory",)),
     # the step's buffers or an epoch's UE locations: numpy's MemoryError escaped train as a traceback
     *(Row(("train",), f"[train]\nsamples_per_epoch = {10**12}\nbatch_size = {batch}\nfresh_samples = {fresh}\n", 1,
@@ -187,10 +192,13 @@ def test_cli_contract_when_training_runs_out_of_memory(row, allocation, tmp_path
 
 @pytest.mark.parametrize("row_id", ["skr : ref_dist_m = 1e-320", "baseline : noise_dbm = -3000",
                                     "skr --config missing.ini : no config",
-                                    "skr --method random --trials 1000000000000000000 : no config"])
+                                    "skr --method random --trials 1000000000000000000 : no config",
+                                    "mc-check --samples 73786976294838206464 --batches 9223372036854775808 : no config",
+                                    "train : ue_region = -1e308, 1e308, 5, 15"])
 def test_cli_contract_in_a_real_process(row_id, tmp_path):
-    # python -m irskey.cli under the default warning filters, one row per failing exit code, and a size past
-    # numpy's index range: an escaped ValueError exits 1 too, so only the no-traceback check tells it apart
+    # python -m irskey.cli under the default warning filters, one row per failing exit code, a size past
+    # numpy's index range and two counts past numpy's C types: an escaped ValueError or OverflowError exits
+    # 1 too, so only the no-traceback check tells it apart
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
     def run(argv):

@@ -5,8 +5,10 @@ R_z = var(theta) P^T R_bs P^*, the uplink covariance p_b R_z + N P^T P^*, the
 downlink covariance R_z + N I and their cross covariance sqrt(p_b) R_z, it
 takes logdet R_a + logdet R_b - logdet joint in mpmath. Two regimes where
 double precision can lose digits: a precoder just short of rank deficiency,
-and low SNR, where the rate is a small difference of large terms. Water-filling
-designs, rank-deficient at low SNR, are checked against their per-mode rates.
+and low SNR, where the rate is a small difference of large terms. A weak
+direction just past the closed form's route threshold checks that threshold
+at high SNR. Water-filling designs, rank-deficient at low SNR, are checked
+against their per-mode rates.
 """
 
 import math
@@ -122,3 +124,38 @@ def test_variance_gradient_matches_the_exact_derivative(noise_dbm):
         want = mp.diff(lambda v: _exact_nats(p, v, stats.R_bs, cfg.power_b, cfg.noise), mp.mpf(var))
     scale = float(np.sum(lam * np.sum(np.abs(a) ** 2, axis=-1))) / cfg.noise  # each term's size bound
     assert abs(got - float(want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m, power_dbm", [(8, 30.0), (32, 40.0)])
+def test_weak_direction_just_past_the_route_threshold_keeps_its_digits(m, power_dbm, monkeypatch):
+    # the route test scales s_min^2 by max_j G_jj, which flat column norms (a DFT right factor)
+    # make tr(G) / M. The weak singular value is bisected to the lowest that skips the SVD, and
+    # the design 10% above it is checked. At 30 dBm tau's M eps floor sets the threshold, at
+    # 40 dBm the error bound does
+    cfg = SystemConfig(M=m, power_a=dbm_to_mw(power_dbm), power_b=dbm_to_mw(power_dbm))
+    stats = channel_statistics(cfg)
+    rng = np.random.default_rng(m)
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / math.sqrt(m)
+    head = np.exp(-np.arange(m - 1) / m)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L))
+    u = _unitary(rng, m)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, *args, **kwargs: calls.append(1) or svd(mat, *args, **kwargs))
+
+    def design(weak):
+        p = (u * np.append(head, weak)) @ dft
+        return p * math.sqrt(m * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+
+    def skips_svd(weak):
+        calls.clear()
+        closed_form_bits(design(weak)[None], phases[None], stats, cfg.power_b, cfg.noise)
+        return not calls
+
+    lo, hi = 1e-12, 1.0  # takes the SVD, skips it
+    assert not skips_svd(lo) and skips_svd(hi)
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if skips_svd(mid) else (mid, hi)
+    assert skips_svd(1.1 * hi)
+    assert _relative_error(cfg, design(1.1 * hi), phases) <= 5e-14

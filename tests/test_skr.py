@@ -296,6 +296,42 @@ def test_closed_form_certificates_only_skip_work(rng, monkeypatch):
         skr.closed_form_bits(precoders, phases, _direct_only_stats(-np.eye(3)), 10.0, 1e-9)
 
 
+def test_closed_form_covers_every_rank_with_one_singular_basis_call(monkeypatch):
+    # ranks 0, 1, M-1 and M (one direction at 1e-9) all fail the route test; the dropped
+    # singular values are zeroed, so one eigh of the masked compressions covers them all
+    m = 4
+    stats = _direct_only_stats(bs_correlation(0.5, m))
+    stats.R_bs_eigh  # the statistics' own eigh, cached before the spy
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    singular = [[0.0] * m, [1.0, 0.0, 0.0, 0.0], [1.0, 0.8, 0.5, 0.0], [1.0, 0.8, 0.5, 1e-9]]
+    precoders = np.stack([(u * np.array(s)) @ v for s in singular])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat, *args: calls.append(mat.shape) or eigh(mat, *args))
+    bits = skr.closed_form_bits(precoders, np.ones((len(singular), 1)), stats, 10.0, 1e-9)
+    assert calls == [(len(singular), m, m)]
+    assert bits[0] == 0.0 and np.all(np.diff(bits) > 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9])
+def test_closed_form_keeps_only_unrotated_rates_within_the_route_tolerance(eta, monkeypatch):
+    # a weak direction's SNR is only known to be at least min(D) s_min^2, lam_max / lam_min
+    # below max(D) s_min^2; at eta = 0.9 (a ratio of ~190) a route test without that factor
+    # kept unrotated rates 3.6e-14 off. The singular basis, taken for all designs when the
+    # tolerance is 0, is the reference
+    cfg = SystemConfig(M=16, L_h=4, L_v=4, eta=eta, power_a=1e7, power_b=1e7)
+    stats = channel_statistics(cfg)
+    rng = np.random.default_rng(16)
+    designs = [_random_design(16, cfg.L, rng, cfg.power_a) for _ in range(100)]
+    args = np.stack([d.precoder for d in designs]), np.stack([d.phases for d in designs]), stats, cfg.power_b, cfg.noise
+    routed, rtol = skr.closed_form_bits(*args), skr._UNROTATED_RTOL
+    monkeypatch.setattr(skr, "_UNROTATED_RTOL", 0.0)
+    rotated = skr.closed_form_bits(*args)
+    assert np.abs(routed - rotated).max() <= rtol * rotated.min()
+
+
 def _whitened_mi_two_calls(a, lam, var, power_b, noise, want_grad):
     # the core with each of I + A^H D1 A and I + A^H D2 A factored and inverted in its own call
     s = var[..., None] * lam
