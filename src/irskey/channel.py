@@ -186,8 +186,8 @@ def link_gains(config: SystemConfig, ue_positions):
 
     The two UE-side gains keep the leading shape of ``ue_positions``; the
     BS-surface gain is one scalar. This is the only place where geometry
-    becomes link gains. A distance past the float range is a ConfigError
-    naming its link.
+    becomes link gains. A distance past the float range or below ``ref_dist``
+    is a ConfigError naming its link.
     """
     ue = np.asarray(ue_positions, dtype=float)
     if ue.shape[-1:] != (3,):
@@ -203,6 +203,8 @@ def link_gains(config: SystemConfig, ue_positions):
     for link, dist in dists.items():
         if np.isinf(dist).any():
             raise ConfigError(f"{link} distance overflows the float range")
+        if not np.all(dist >= config.ref_dist):
+            raise ConfigError(f"{link} distance {dist.min()} below reference distance {config.ref_dist}")
     ref = (config.ref_loss_db, config.ref_dist)
     return (
         path_gain(dists["BS-UE"], config.alpha_direct, *ref),

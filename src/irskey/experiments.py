@@ -18,6 +18,7 @@ from .channel import (
     _SYSTEM_KEYS,
     ChannelStatistics,
     SystemConfig,
+    _finite,
     _numbers,
     _parse_section,
     _read_ini,
@@ -62,8 +63,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
             raise ConfigError(f"unknown sweep.variable {self.variable!r}; pick from {VARIABLES}")
-        if len(self.values) == 0:
-            raise ConfigError("sweep values must be nonempty")
+        if len(self.values) == 0 or not _finite(self.values):
+            raise ConfigError(f"sweep values must be nonempty and finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"sweep values must be strictly increasing, got {self.values}")
         if self.variable in ("m", "l"):

@@ -443,19 +443,16 @@ def train(train_config: TrainConfig, system: SystemConfig, progress=None):
 # serialization
 
 
+def _header(M: int, L: int, hidden: int, seed: int | None) -> dict:
+    """The checkpoint header for these sizes and seed: the only one load_checkpoint accepts."""
+    shapes = {name: list(shape) for name, shape in _param_shapes(M, L, hidden).items()}
+    return {"format": _CHECKPOINT_FORMAT, "M": M, "L": L, "hidden": hidden, "packing": _PACKING,
+            "seed": seed, "fields": list(PARAM_FIELDS), "shapes": shapes}
+
+
 def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> None:
     """Write a one-line JSON header, then ``params.vec`` as little-endian float64 in one call."""
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "M": params.M,
-        "L": params.L,
-        "hidden": params.hidden,
-        "packing": _PACKING,
-        "seed": seed,
-        "fields": list(PARAM_FIELDS),
-        "shapes": {name: list(getattr(params, name).shape) for name in PARAM_FIELDS},
-    }
-    header = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    header = json.dumps(_header(params.M, params.L, params.hidden, seed), sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         fh.write(params.vec.astype("<f8", copy=False))
@@ -465,11 +462,12 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
     """Inverse of save_checkpoint; returns (params, metadata dict).
 
     Every way a file can fail to be a checkpoint written by save_checkpoint
-    raises ConfigError: a bad header or one past 64 KiB, header sizes that
-    disagree with the block shapes or (when given) with ``system``'s M and L,
-    a blob shorter or longer than those shapes, non-finite weights. All but
-    the last are checked before allocating ``params.vec``, which the blob is
-    read into in one call. Only failing to read the file raises OSError.
+    raises ConfigError: a header line past 64 KiB, a header other than exactly the
+    one save_checkpoint writes for its sizes and seed (null or an int >= 0), sizes
+    other than ``system``'s M and L (when given), a blob shorter or longer than the
+    header's shapes, non-finite weights. All but the last are checked before
+    allocating ``params.vec``, which the blob is read into in one call. Only
+    failing to read the file raises OSError.
     """
     with open(path, "rb") as fh:
         header = fh.readline(_HEADER_CAP + 1)
@@ -477,7 +475,7 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
             raise ConfigError(f"not a checkpoint file: {path} (no header line in {_HEADER_CAP} bytes)")
         try:
             meta = json.loads(header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's 4300-digit limit
             raise ConfigError(f"not a checkpoint file: {path}") from exc
         if not isinstance(meta, dict):
             raise ConfigError(f"not a checkpoint file: {path}")
@@ -486,20 +484,15 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
         sizes = [meta.get(key) for key in ("M", "L", "hidden")]
         if not all(type(n) is int and n >= 1 for n in sizes):
             raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
-        shapes = _param_shapes(*sizes)
-        if meta.get("fields") != list(shapes) or meta.get("shapes") != {
-            name: list(shape) for name, shape in shapes.items()
-        }:
-            raise ConfigError(
-                f"checkpoint {path}: block shapes do not match M={sizes[0]}, L={sizes[1]}, "
-                f"hidden={sizes[2]}"
-            )
+        seed = meta.get("seed")
+        if not (seed is None or type(seed) is int and seed >= 0) or meta != _header(*sizes, seed):
+            raise ConfigError(f"checkpoint {path}: header is not the one saved for M/L/hidden {sizes}, seed {seed!r}")
         if system is not None and sizes[:2] != [system.M, system.L]:
             raise ConfigError(
                 f"checkpoint sized for M={sizes[0]}, L={sizes[1]}; "
                 f"system has M={system.M}, L={system.L}: {path}"
             )
-        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        expected = 8 * sum(math.prod(shape) for shape in _param_shapes(*sizes).values())
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available == expected:
             params = NetParams(*sizes)

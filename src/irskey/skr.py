@@ -186,10 +186,12 @@ def closed_form_bits(
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
     Every design goes through ``_whitened_mi`` with A = U^H P^*, and keeps that
-    rate unless its singular values fail s_min^2 > tau max_j G_jj, where tau
-    >= M eps makes the rate accurate to _UNROTATED_RTOL. Designs that fail are
-    evaluated together in the singular basis of P: singular values s_i <= M eps
-    s_max are roundoff and zeroed with their range basis columns (a zero
+    rate unless its singular values fail s_min^2 > tau max_j G_jj, where tau >= M eps
+    keeps the error a weak precoder direction causes under _UNROTATED_RTOL of the
+    rate. A small rate, a difference of cancelling log-determinants, can be further
+    off on either route (test_low_snr_rate_keeps_its_digits allows 5e-14). Designs
+    that fail are evaluated together in the singular basis of P: singular values
+    s_i <= M eps s_max are roundoff and zeroed with their range basis columns (a zero
     precoder reads 0 bits), the rest span the range of P^* that the uplink
     observes, and R_bs is compressed onto it. A Cholesky certificate on
     G - tau max_j G_jj I, judged per design, proves the test and skips the SVD,

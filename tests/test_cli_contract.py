@@ -148,6 +148,19 @@ ROWS = [
     Row(("skr",), "[system]\nspacing_wl = 1e300\n", 0),
     # a config file that cannot be read is an I/O failure, not a configuration error
     Row(("skr", "--config", "missing.ini"), None, 3, ("missing.ini",)),
+    # argv the parser rejects, an input a verb needs and lacks, a size out of range
+    Row(("unknown-verb",), None, 1, ("'unknown-verb'",)),
+    Row(("skr", "--method", "pkg_net"), None, 1, ("--checkpoint",)),
+    Row(("sweep",), None, 1, ("[sweep] section",)),
+    Row(("skr",), "[system]\nm = -1\n", 1, ("antenna count", "-1")),
+    # the error named power_a or eta, a field the [sweep] section never mentions
+    *(Row(("sweep",), f"[sweep]\nvariable = {variable}\nvalues = {values}\n", 1,
+          ("sweep values must be nonempty and finite",))
+      for variable, values in (("power", "nan"), ("power", "1e400"), ("eta", "0.5, inf"))),
+    # the UE on the surface or on the BS: the error named neither the link nor the key
+    *(Row(argv, f"[system]\npos_ue_m = {pos}\n", 1, (f"{link} distance 0.0 below reference distance",),
+          out_dir=argv == ("train",)) for argv in _ALL_BUT_SWEEP
+      for pos, link in (("0 0 0", "surface-UE"), ("5 -35 0", "BS-UE"))),
 ]
 _BY_ID = {row.id: row for row in ROWS}
 assert len(_BY_ID) == len(ROWS), "two rows share a test id"

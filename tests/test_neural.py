@@ -629,6 +629,9 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
     bad.write_text("[1, 2]\n")  # valid JSON, but not a header object
     with pytest.raises(ConfigError):
         load_checkpoint(str(bad))
+    bad.write_text('{"seed": ' + "7" * 5000 + "}\n")  # json refuses integers past 4300 digits with a ValueError
+    with pytest.raises(ConfigError, match="not a checkpoint file"):
+        load_checkpoint(str(bad))
 
 
 def _saved_checkpoint(tmp_path, rng, M=2, L=4):
@@ -661,6 +664,38 @@ def test_load_checkpoint_rejects_header_sizes_disagreeing_with_blocks(tmp_path, 
         path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("packing", "imag-real-rowmajor"),
+    ("fields", list(reversed(PARAM_FIELDS))),
+    ("shapes", "W1"),  # one entry: W1 gets one more row
+    ("seed", "not a seed"),
+    ("seed", -1),
+    ("seed", 0.0),
+    ("extra", 1),
+], ids=["packing", "fields", "shapes", "seed-string", "seed-negative", "seed-float", "extra-key"])
+def test_load_checkpoint_accepts_only_the_header_save_writes(tmp_path, rng, key, value):
+    path = _saved_checkpoint(tmp_path, rng)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    if key == "shapes":
+        meta["shapes"][value][0] += 1
+    else:
+        meta[key] = value
+    path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
+    with pytest.raises(ConfigError, match="header is not the one saved"):
+        load_checkpoint(str(path))
+
+
+def test_load_checkpoint_accepts_a_null_or_400_digit_seed(tmp_path, rng):
+    params = init_params(2, 4, rng)
+    path = tmp_path / "net.ckpt"
+    for seed in (None, 10**400):
+        save_checkpoint(str(path), params, seed=seed)
+        loaded, meta = load_checkpoint(str(path))
+        assert meta["seed"] == seed
+        npt.assert_array_equal(loaded.vec, params.vec)
 
 
 def test_load_checkpoint_caps_the_header_line(tmp_path):
