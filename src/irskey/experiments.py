@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .channel import (
     _SYSTEM_KEYS,
     ChannelStatistics,
     SystemConfig,
+    _complex_normal,
     _finite,
     _numbers,
     _parse_section,
@@ -117,24 +119,15 @@ class SweepResult:
 def _draw_designs(
     config: SystemConfig, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``trials`` random designs as precoders [K, M, M] and phases [K, L].
+    """``trials`` random designs as precoders [K, M, M] and phases [K, L], one block per factor.
 
-    Each trial consumes ``rng`` as one ``random_design`` call always has: the
-    real then the imaginary M x M Gaussian block (one fill of a [2, M, M]
-    slot), then L uniform angles. Scaling onto the budget, the angles' 2π
-    factor and the phase exponential run once over all trials.
+    One ``_complex_normal`` draw gives every precoder's real parts, then every imaginary part, each a
+    standard normal; one uniform draw gives all K x L angles. For K = 1 this is ``random_design``'s stream.
     """
-    m, l = config.M, config.L
-    with _fits_in_memory(f"{trials} random designs of M={m}, L={l}"):
-        normals = np.empty((trials, 2, m, m))
-        angles = np.empty((trials, l))
-    for k in range(trials):
-        rng.standard_normal(out=normals[k])
-        rng.random(out=angles[k])
-    angles *= 2.0 * np.pi  # uniform(0, 2π) is 0 + 2π·u, bit for bit
-    raw = normals[:, 0] + 1j * normals[:, 1]
+    m = config.M
+    raw = _complex_normal(rng, trials * m * m, 2.0).reshape(trials, m, m)
     raw *= np.sqrt(m * config.power_a / np.sum(np.abs(raw) ** 2, axis=(1, 2)))[:, None, None]
-    return raw, np.exp(1j * angles)
+    return raw, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, config.L)))
 
 
 def random_design(config: SystemConfig, rng: np.random.Generator) -> ProbeDesign:
@@ -148,9 +141,8 @@ def random_design_bits(
 ) -> tuple[float, float | None]:
     """Mean closed-form SKR over ``trials`` random designs, and its standard error.
 
-    The designs are drawn one after another from ``rng``, in the order of
-    repeated ``random_design`` calls, and evaluated in one batched kernel call.
-    The standard error is None for a single trial.
+    The designs are drawn from ``rng`` by ``_draw_designs`` and evaluated in
+    one batched kernel call. The standard error is None for a single trial.
     """
     return _methods_bits(("random",), config, stats, rng, trials, load_net=None)[0]
 
@@ -192,20 +184,23 @@ def _methods_bits(methods, config: SystemConfig, stats: ChannelStatistics, rng, 
 
     The batch holds ``trials`` random designs from ``rng``, the baseline's, and the UE position's design of
     the network ``load_net()`` returns (called for pkg_net only, so the network is freed before scoring).
+    Drawing the random designs and scoring the batch run under one memory rule, which names them.
     """
+    random = "random" in methods
+    if random and trials < 1:
+        raise ConfigError(f"random trials must be >= 1, got {trials}")
     designs = {}
-    if "random" in methods:
-        if trials < 1:
-            raise ConfigError(f"random trials must be >= 1, got {trials}")
-        designs["random"] = _draw_designs(config, rng, trials)
     if "baseline" in methods:
         design = baseline_design(config, stats)
         designs["baseline"] = design.precoder[None], design.phases[None]
     if "pkg_net" in methods:
         design = neural.forward(load_net(), config.pos_ue, config)
         designs["pkg_net"] = design.precoder[None], design.phases[None]
-    precoders, phases = (np.concatenate(parts) for parts in zip(*designs.values()))
-    bits = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
+    with _fits_in_memory(f"{trials} random designs of M={config.M}, L={config.L}") if random else nullcontext():
+        if random:
+            designs = {"random": _draw_designs(config, rng, trials), **designs}
+        precoders, phases = (np.concatenate(parts) for parts in zip(*designs.values()))
+        bits = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
     per_method = dict(zip(designs, np.split(bits, np.cumsum([len(p) for p, _ in designs.values()])[:-1])))
     draws = map(per_method.get, methods)
     return [(float(d.mean()), float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else None) for d in draws]
@@ -318,10 +313,11 @@ def write_plot_script(result: SweepResult, path: str) -> None:
 def load_experiment_config(path: str):
     """Parse [system], [train], [sweep] sections; missing sections give defaults.
 
+    Other sections are rejected, and so is a [DEFAULT] with keys, which would reach every section.
     Returns (SystemConfig, TrainConfig, SweepSpec or None).
     """
     parser = _read_ini(path)
-    extra = set(parser.sections()) - {"system", "train", "sweep"}
+    extra = set(parser.sections()) - {"system", "train", "sweep"} | ({"DEFAULT"} if parser.defaults() else set())
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
     system = SystemConfig(**_parse_section(parser, "system", _SYSTEM_KEYS))

@@ -485,7 +485,9 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
         if not all(type(n) is int and n >= 1 for n in sizes):
             raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
         seed = meta.get("seed")
-        if not (seed is None or type(seed) is int and seed >= 0) or meta != _header(*sizes, seed):
+        # compared as canonical JSON, not by ==, which takes a shape entry 200.0 or true for 200 or 1
+        saved = json.dumps(_header(*sizes, seed), sort_keys=True)
+        if not (seed is None or type(seed) is int and seed >= 0) or json.dumps(meta, sort_keys=True) != saved:
             raise ConfigError(f"checkpoint {path}: header is not the one saved for M/L/hidden {sizes}, seed {seed!r}")
         if system is not None and sizes[:2] != [system.M, system.L]:
             raise ConfigError(

@@ -161,6 +161,13 @@ ROWS = [
     *(Row(argv, f"[system]\npos_ue_m = {pos}\n", 1, (f"{link} distance 0.0 below reference distance",),
           out_dir=argv == ("train",)) for argv in _ALL_BUT_SWEEP
       for pos, link in (("0 0 0", "surface-UE"), ("5 -35 0", "BS-UE"))),
+    # configparser hands [DEFAULT]'s keys to every section: m = 2 without [system] ran at M = 4,
+    # epochs = 2 set [train] epochs and seed = 3 set both seeds, each with exit 0. An empty one is harmless
+    *(Row((verb,), f"[DEFAULT]\n{line}\n{sections}", 1, ("unknown config sections: ['DEFAULT']",),
+          label=f"[DEFAULT] {line}") for verb, line, sections in (
+        ("skr", "m = 2", ""), ("train", "epochs = 2", "[train]\nsamples_per_epoch = 10\nbatch_size = 10\n"),
+        ("sweep", "seed = 3", "[train]\n[sweep]\nvariable = m\nvalues = 2\n"))),
+    Row(("skr",), "[DEFAULT]\n[system]\nm = 2\n", 0, label="empty [DEFAULT], m = 2"),
 ]
 _BY_ID = {row.id: row for row in ROWS}
 assert len(_BY_ID) == len(ROWS), "two rows share a test id"
@@ -203,6 +210,18 @@ def test_cli_contract_when_training_runs_out_of_memory(row, allocation, tmp_path
     check_contract(row, tmp_path, _in_process(capfd))
 
 
+def _real_process(workdir, **options):
+    # run(argv) for check_contract: python -m irskey.cli in ``workdir``, with subprocess.run's ``options``
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), **options.pop("env", {}))
+
+    def run(argv):
+        done = subprocess.run([sys.executable, "-m", "irskey.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=300, **options)
+        return done.returncode, done.stderr
+
+    return run
+
+
 @pytest.mark.parametrize("row_id", ["skr : ref_dist_m = 1e-320", "baseline : noise_dbm = -3000",
                                     "skr --config missing.ini : no config",
                                     "skr --method random --trials 1000000000000000000 : no config",
@@ -212,11 +231,26 @@ def test_cli_contract_in_a_real_process(row_id, tmp_path):
     # python -m irskey.cli under the default warning filters, one row per failing exit code, a size past
     # numpy's index range and two counts past numpy's C types: an escaped ValueError or OverflowError exits
     # 1 too, so only the no-traceback check tells it apart
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    check_contract(_BY_ID[row_id], tmp_path, _real_process(tmp_path))
 
-    def run(argv):
-        done = subprocess.run([sys.executable, "-m", "irskey.cli", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
-        return done.returncode, done.stderr
 
-    check_contract(_BY_ID[row_id], tmp_path, run)
+# requests that fit numpy's index range but not a 2000-MiB address space, so they fail the same way on
+# any machine. The random designs' phase exponential and their scoring ran outside the memory rule:
+# numpy's _ArrayMemoryError for a (1000000, 25) complex array escaped main() as a traceback
+_ADDRESS_SPACE_MIB = 2000
+_OVER_THE_ADDRESS_SPACE = [
+    Row(("skr", "--method", "random", "--trials", str(10**6)), None, 1,
+        ("config error: 1000000 random designs of M=4, L=25 do not fit in memory",)),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds a process's memory only on Linux")
+@pytest.mark.parametrize("row", _OVER_THE_ADDRESS_SPACE, ids=[row.id for row in _OVER_THE_ADDRESS_SPACE])
+def test_cli_contract_in_a_real_process_under_an_address_space_limit(row, tmp_path):
+    import resource
+
+    def limit_address_space():  # in the child only; one BLAS thread, so its buffers do not grow with the cores
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_MIB * 2**20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    run = _real_process(tmp_path, env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit_address_space)
+    check_contract(row, tmp_path, run)

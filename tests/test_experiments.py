@@ -34,6 +34,7 @@ from irskey import (
 from irskey import _blas, channel, cli, experiments, neural
 from irskey.errors import NumericalError
 from irskey.experiments import _draw_designs, random_design_bits
+from irskey.probing import ProbeDesign
 
 
 TINY_TRAIN = TrainConfig(epochs=1, samples_per_epoch=20, batch_size=10, seed=0)
@@ -93,17 +94,17 @@ def test_sweep_spec_rejects_non_integer_sizes(tmp_path):
 def test_random_design_bits_matches_scalar_loop():
     cfg = SystemConfig(M=4, L_h=3, L_v=3)
     stats = channel_statistics(cfg)
-    rng = np.random.default_rng(3)
+    precoders, phases = _draw_designs(cfg, np.random.default_rng(3), 12)
     draws = np.array(
-        [skr_closed_form(random_design(cfg, rng), stats, cfg.power_b, cfg.noise).bits
-         for _ in range(12)]
+        [skr_closed_form(ProbeDesign(precoder=p, phases=t), stats, cfg.power_b, cfg.noise).bits
+         for p, t in zip(precoders, phases)]
     )
     bits, std_error = random_design_bits(cfg, stats, np.random.default_rng(3), 12)
     assert bits == pytest.approx(draws.mean(), rel=1e-12)
     assert std_error == pytest.approx(draws.std(ddof=1) / math.sqrt(12), rel=1e-9)
     assert random_design_bits(cfg, stats, np.random.default_rng(3), 1)[1] is None
     with pytest.raises(ConfigError):
-        random_design_bits(cfg, stats, rng, 0)
+        random_design_bits(cfg, stats, np.random.default_rng(3), 0)
 
 
 def test_random_design_is_feasible(rng):
@@ -120,29 +121,42 @@ def test_random_design_draws_differ():
     assert np.abs(a.precoder - b.precoder).max() > 1e-3
 
 
-def _per_trial_reference(m, l, power_a, rng, trials):
-    # the stream order of one random_design call per trial, written out
-    precoders, phases = [], []
-    for _ in range(trials):
-        raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        raw *= math.sqrt(m * power_a / float(np.sum(np.abs(raw) ** 2)))
-        precoders.append(raw)
-        phases.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, l)))
-    return np.array(precoders), np.array(phases)
+def _scaled(raw, m, power_a):
+    return raw * np.sqrt(m * power_a / np.sum(np.abs(raw) ** 2, axis=(-2, -1)))[..., None, None]
+
+
+def _block_reference(m, l, power_a, rng, trials):
+    # the block order written out: every real part, every imaginary part, then every angle
+    re = rng.standard_normal((trials, m, m))
+    raw = re + 1j * rng.standard_normal((trials, m, m))
+    return _scaled(raw, m, power_a), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, l)))
+
+
+def _one_design_reference(m, l, power_a, rng):
+    # the stream of one random_design call, as it has always been read
+    raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return _scaled(raw, m, power_a), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, l))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 @pytest.mark.parametrize("side", [1, 2, 5, 12])
-def test_draw_designs_matches_per_trial_stream(m, side):
+def test_draw_designs_draws_one_block_per_factor(m, side):
     cfg = SystemConfig(M=m, L_h=side, L_v=side)
     for trials in (1, 2, 100):
         for seed in (0, 1, 2):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             precoders, phases = _draw_designs(cfg, rng, trials)
-            want_precoders, want_phases = _per_trial_reference(m, cfg.L, cfg.power_a, ref_rng, trials)
+            want_precoders, want_phases = _block_reference(m, cfg.L, cfg.power_a, ref_rng, trials)
             assert np.array_equal(precoders, want_precoders)
             assert np.array_equal(phases, want_phases)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for seed in (0, 1, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        design = random_design(cfg, rng)
+        want_precoder, want_phases = _one_design_reference(m, cfg.L, cfg.power_a, ref_rng)
+        assert np.array_equal(design.precoder, want_precoder)
+        assert np.array_equal(design.phases, want_phases)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --------------------------------------------------------------------------

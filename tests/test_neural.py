@@ -634,9 +634,9 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(bad))
 
 
-def _saved_checkpoint(tmp_path, rng, M=2, L=4):
+def _saved_checkpoint(tmp_path, rng, M=2, L=4, hidden=200):
     path = tmp_path / "net.ckpt"
-    save_checkpoint(str(path), init_params(M, L, rng), seed=0)
+    save_checkpoint(str(path), init_params(M, L, rng, hidden=hidden), seed=0)
     return path
 
 
@@ -666,21 +666,27 @@ def test_load_checkpoint_rejects_header_sizes_disagreeing_with_blocks(tmp_path, 
             load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("key, value", [
-    ("packing", "imag-real-rowmajor"),
-    ("fields", list(reversed(PARAM_FIELDS))),
-    ("shapes", "W1"),  # one entry: W1 gets one more row
-    ("seed", "not a seed"),
-    ("seed", -1),
-    ("seed", 0.0),
-    ("extra", 1),
-], ids=["packing", "fields", "shapes", "seed-string", "seed-negative", "seed-float", "extra-key"])
-def test_load_checkpoint_accepts_only_the_header_save_writes(tmp_path, rng, key, value):
-    path = _saved_checkpoint(tmp_path, rng)
+@pytest.mark.parametrize("hidden, key, value", [
+    (200, "packing", "imag-real-rowmajor"),
+    (200, "fields", list(reversed(PARAM_FIELDS))),
+    (200, "shapes", {"W1": [201, 3]}),  # W1 gets one more row
+    (200, "seed", "not a seed"),
+    (200, "seed", -1),
+    (200, "seed", 0.0),
+    (200, "extra", 1),
+    # equal to the saved entries under ==, but not the JSON save_checkpoint writes
+    (200, "shapes", {"W1": [200.0, 3]}),
+    (200, "shapes", {"W1": [200, 3.0]}),
+    (200, "shapes", {"bt": [8.0]}),
+    (1, "shapes", {"W1": [True, 3]}),
+], ids=["packing", "fields", "shapes", "seed-string", "seed-negative", "seed-float", "extra-key", "shape-float-rows",
+        "shape-float-columns", "shape-float-bias", "shape-true-for-1"])
+def test_load_checkpoint_accepts_only_the_header_save_writes(tmp_path, rng, hidden, key, value):
+    path = _saved_checkpoint(tmp_path, rng, hidden=hidden)
     header, blob = path.read_bytes().split(b"\n", 1)
     meta = json.loads(header)
     if key == "shapes":
-        meta["shapes"][value][0] += 1
+        meta["shapes"].update(value)
     else:
         meta[key] = value
     path.write_bytes(json.dumps(meta).encode() + b"\n" + blob)
