@@ -184,21 +184,22 @@ def _methods_bits(methods, config: SystemConfig, stats: ChannelStatistics, rng, 
 
     The batch holds ``trials`` random designs from ``rng``, the baseline's, and the UE position's design of
     the network ``load_net()`` returns (called for pkg_net only, so the network is freed before scoring).
-    Drawing the random designs and scoring the batch run under one memory rule, which names them.
+    The random designs are drawn, before ``load_net()`` may train, and scored under memory rules naming them.
     """
-    random = "random" in methods
-    if random and trials < 1:
-        raise ConfigError(f"random trials must be >= 1, got {trials}")
+    too_big = functools.partial(_fits_in_memory, f"{trials} random designs of M={config.M}, L={config.L}")
     designs = {}
+    if "random" in methods:
+        if trials < 1:
+            raise ConfigError(f"random trials must be >= 1, got {trials}")
+        with too_big():
+            designs["random"] = _draw_designs(config, rng, trials)
     if "baseline" in methods:
         design = baseline_design(config, stats)
         designs["baseline"] = design.precoder[None], design.phases[None]
     if "pkg_net" in methods:
         design = neural.forward(load_net(), config.pos_ue, config)
         designs["pkg_net"] = design.precoder[None], design.phases[None]
-    with _fits_in_memory(f"{trials} random designs of M={config.M}, L={config.L}") if random else nullcontext():
-        if random:
-            designs = {"random": _draw_designs(config, rng, trials), **designs}
+    with too_big() if "random" in designs else nullcontext():
         precoders, phases = (np.concatenate(parts) for parts in zip(*designs.values()))
         bits = closed_form_bits(precoders, phases, stats, config.power_b, config.noise)
     per_method = dict(zip(designs, np.split(bits, np.cumsum([len(p) for p, _ in designs.values()])[:-1])))

@@ -48,6 +48,7 @@ _EPS_GUARD = 1e-12
 _CHECKPOINT_FORMAT = "irskey-net-1"
 _PACKING = "real-imag-colmajor"
 _HEADER_CAP = 64 * 1024  # bytes; a real header is ~300
+_encoded = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # the header line, as saved
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2", "Wp", "bp", "Wt", "bt")
 
@@ -452,9 +453,8 @@ def _header(M: int, L: int, hidden: int, seed: int | None) -> dict:
 
 def save_checkpoint(path: str, params: NetParams, seed: int | None = None) -> None:
     """Write a one-line JSON header, then ``params.vec`` as little-endian float64 in one call."""
-    header = json.dumps(_header(params.M, params.L, params.hidden, seed), sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
+        fh.write(_encoded(_header(params.M, params.L, params.hidden, seed)).encode("utf-8") + b"\n")
         fh.write(params.vec.astype("<f8", copy=False))
 
 
@@ -485,9 +485,9 @@ def load_checkpoint(path: str, system: SystemConfig | None = None):
         if not all(type(n) is int and n >= 1 for n in sizes):
             raise ConfigError(f"checkpoint {path} has invalid sizes M/L/hidden {sizes}")
         seed = meta.get("seed")
-        # compared as canonical JSON, not by ==, which takes a shape entry 200.0 or true for 200 or 1
-        saved = json.dumps(_header(*sizes, seed), sort_keys=True)
-        if not (seed is None or type(seed) is int and seed >= 0) or json.dumps(meta, sort_keys=True) != saved:
+        saved = _header(*sizes, seed)
+        # == rejects other values first (their shapes may not encode); the encoding refuses 200.0 or true for 200 or 1
+        if not (seed is None or type(seed) is int and seed >= 0) or meta != saved or _encoded(meta) != _encoded(saved):
             raise ConfigError(f"checkpoint {path}: header is not the one saved for M/L/hidden {sizes}, seed {seed!r}")
         if system is not None and sizes[:2] != [system.M, system.L]:
             raise ConfigError(

@@ -107,6 +107,18 @@ def test_random_design_bits_matches_scalar_loop():
         random_design_bits(cfg, stats, np.random.default_rng(3), 0)
 
 
+def test_methods_bits_rejects_an_unfittable_random_batch_before_loading_the_network():
+    # in a sweep without checkpoints load_net trains a network, which an unfittable batch must not wait for
+    cfg = SystemConfig(M=4, L_h=3, L_v=3)
+
+    def load_net():
+        raise AssertionError("load_net was called")
+
+    with pytest.raises(ConfigError, match=r"^1000000000000000000 random designs of M=4, L=9 do not fit in memory$"):
+        experiments._methods_bits(("random", "pkg_net"), cfg, channel_statistics(cfg), np.random.default_rng(3),
+                                  10**18, load_net)
+
+
 def test_random_design_is_feasible(rng):
     cfg = _tiny_system()
     des = random_design(cfg, rng)

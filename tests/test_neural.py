@@ -674,12 +674,14 @@ def test_load_checkpoint_rejects_header_sizes_disagreeing_with_blocks(tmp_path, 
     (200, "seed", -1),
     (200, "seed", 0.0),
     (200, "extra", 1),
+    (200, "M", 10**2200),  # its shapes run past the 4300 digits json.dumps can write
     # equal to the saved entries under ==, but not the JSON save_checkpoint writes
     (200, "shapes", {"W1": [200.0, 3]}),
     (200, "shapes", {"W1": [200, 3.0]}),
     (200, "shapes", {"bt": [8.0]}),
     (1, "shapes", {"W1": [True, 3]}),
-], ids=["packing", "fields", "shapes", "seed-string", "seed-negative", "seed-float", "extra-key", "shape-float-rows",
+], ids=["packing", "fields", "shapes", "seed-string", "seed-negative", "seed-float", "extra-key", "M-2201-digits",
+    "shape-float-rows",
         "shape-float-columns", "shape-float-bias", "shape-true-for-1"])
 def test_load_checkpoint_accepts_only_the_header_save_writes(tmp_path, rng, hidden, key, value):
     path = _saved_checkpoint(tmp_path, rng, hidden=hidden)
