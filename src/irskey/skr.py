@@ -283,14 +283,16 @@ def skr_approximate(
 
 def _batch_second_moment(
     design: ProbeDesign,
+    uplink: np.ndarray,
     stats: ChannelStatistics,
     power_b: float,
     noise: float,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Unnormalized 2M x 2M second moment of n simulated observation pairs [y_a, y_b].
+    """Unnormalized (r+M)-square second moment of n simulated observation pairs [y_a, y_b].
 
+    y_a = ``uplink``^T u for an M x r combiner; y_b uses ``design.precoder``.
     Draws in ``_iid_factors`` order (h, g, f), then the BS noise, then the UE
     noise, but never forms G = R_bs^1/2 g R_irs^1/2: per round, in row form,
     h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with
@@ -307,7 +309,7 @@ def _batch_second_moment(
     gv_re = np.einsum("nml,nl->nm", g_re, v.real) - np.einsum("nml,nl->nm", g_im, v.imag)
     gv_im = np.einsum("nml,nl->nm", g_re, v.imag) + np.einsum("nml,nl->nm", g_im, v.real)
     c = (h_iid + gv_re + 1j * gv_im) @ stats.R_bs_sqrt.T
-    y_a = uplink_probe(c, design.precoder, noise_a, power_b)
+    y_a = uplink_probe(c, uplink, noise_a, power_b)
     y_b = downlink_probe(c, design.precoder, noise_b)
     z = np.concatenate([y_a, y_b], axis=1)
     return z.T @ z.conj()
@@ -332,8 +334,9 @@ def skr_monte_carlo(
     estimate, so it shrinks like 1/sqrt(n_samples). Only the covariance is
     simulated: the Gaussian formula at the sample covariance does not test
     whether the observations are Gaussian. y_a = P^T u lies in the range of
-    P^T, so a precoder of rank r < M (singular values at or below M eps
-    s_max dropped) is observed through y_a's r coordinates there.
+    P^T, so every design is observed through y_a's r coordinates in an
+    orthonormal basis of it: the batch kernel combines with P V_r, V_r the
+    right singular vectors of P above M eps s_max (r = M at full rank).
     """
     if n_samples < 10_000:
         raise ConfigError(f"Monte Carlo needs at least 10000 samples, got {n_samples}")
@@ -346,22 +349,18 @@ def skr_monte_carlo(
         raise ConfigError(
             f"{per_batch} samples per batch cannot estimate a {2 * design.M}-square covariance"
         )
-    m = design.M
     if not np.isfinite(design.precoder).all():
         raise NumericalError("precoder has non-finite entries")
     _, sv, vh = np.linalg.svd(design.precoder)
-    rank = int(np.sum(_kept(sv, m)))
+    uplink = design.precoder @ vh[_kept(sv, design.M)].conj().T  # P V_r
+    rank = uplink.shape[1]
     with _fits_in_memory(f"{n_samples} Monte Carlo samples ({per_batch} per batch)"):
         try:
             streams = rng.spawn(n_batches)
         except OverflowError as exc:  # numpy counts child streams in a C long
             raise ConfigError(f"{n_batches} batches are more streams than numpy can spawn") from exc
-        moments = parallel_map(lambda s: _batch_second_moment(design, stats, power_b, noise, per_batch, s), streams)
-    if rank < m:  # [y_a, y_b] -> [y_a in an orthonormal basis of the range of P^T, y_b]
-        t = np.zeros((2 * m, rank + m), dtype=complex)
-        t[:m, :rank] = vh[:rank].conj().T
-        t[m:, rank:] = np.eye(m)
-        moments = [t.T @ moment @ t.conj() for moment in moments]
+        moments = parallel_map(lambda s: _batch_second_moment(design, uplink, stats, power_b, noise, per_batch, s),
+                               streams)
     batch_bits = np.empty(n_batches)
     for b, moment in enumerate(moments):
         try:

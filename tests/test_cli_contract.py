@@ -241,6 +241,15 @@ _ADDRESS_SPACE_MIB = 2000
 _OVER_THE_ADDRESS_SPACE = [
     Row(("skr", "--method", "random", "--trials", str(10**6)), None, 1,
         ("config error: 1000000 random designs of M=4, L=25 do not fit in memory",)),
+    # a 27-GiB network, refused whatever the machine's RAM; train has made --out by then
+    Row(("train",), "[system]\nm = 3000\n", 1,
+        ("config error: training at M=3000, L=25, batch_size 100: the network and a step do not fit in memory",),
+        out_dir=True),
+    Row(("skr",), "[system]\nl_h = 30000\n", 1,
+        ("config error: correlation matrices for M=4, L=150000 do not fit in memory",)),
+    # without checkpoints a sweep trains inline; unlimited, M = 1000 ran into the OOM killer (exit 137)
+    Row(("sweep",), "[sweep]\nvariable = m\nvalues = 1000\nmethods = pkg_net\n", 1,
+        ("config error: training at M=1000, L=25, batch_size 100: the network and a step do not fit in memory",)),
 ]
 
 

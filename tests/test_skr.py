@@ -493,7 +493,7 @@ def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
     # noise, pushed through the probing model one round at a time
     des = _random_design(4, 25, rng)
     power_b, noise, n = 10.0, 1e-9, 300
-    got = skr._batch_second_moment(des, reference_stats, power_b, noise, n, np.random.default_rng(8))
+    got = skr._batch_second_moment(des, des.precoder, reference_stats, power_b, noise, n, np.random.default_rng(8))
     stream = np.random.default_rng(8)
     h, big_g, f = sample_batch(reference_stats, n, stream)
     noise_a = _complex_normal(stream, n * 4, noise).reshape(n, 4)
@@ -504,6 +504,27 @@ def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
         z = np.concatenate([uplink_probe(c, des.precoder, noise_a[i], power_b),
                             downlink_probe(c, des.precoder, noise_b[i])])
         want += np.outer(z, z.conj())
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_monte_carlo_range_combiner_matches_projected_moment():
+    # reference: the 2M-square moment with uplink P, then y_a projected onto an
+    # orthonormal basis V_r of the range of P^T by t = blockdiag(V_r, I)
+    system = SystemConfig(power_a=1.0, power_b=1.0)  # 0 dBm: water-filling powers 2 of 4 modes
+    stats = channel_statistics(system)
+    des = baseline_design(system, stats)
+    _, sv, vh = np.linalg.svd(des.precoder)
+    rank = int(np.sum(sv > 4 * np.finfo(float).eps * sv[0]))
+    assert rank == 2
+    args = (stats, system.power_b, system.noise, 300)
+    full = skr._batch_second_moment(des, des.precoder, *args, np.random.default_rng(5))
+    t = np.zeros((8, rank + 4), dtype=complex)
+    t[:4, :rank] = vh[:rank].conj().T
+    t[4:, rank:] = np.eye(4)
+    want = t.T @ full @ t.conj()
+    uplink = des.precoder @ vh[:rank].conj().T
+    got = skr._batch_second_moment(des, uplink, *args, np.random.default_rng(5))
+    assert got.shape == (rank + 4, rank + 4)
     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
