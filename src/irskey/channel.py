@@ -26,7 +26,6 @@ __all__ = [
     "path_gain",
     "link_gains",
     "psd_sqrt",
-    "cascade_covariance",
     "channel_statistics",
     "sample_realization",
     "sample_batch",
@@ -286,24 +285,6 @@ class ChannelStatistics:
     @cached_property
     def R_irs_sqrt(self) -> np.ndarray:
         return psd_sqrt(self.R_irs)
-
-
-def cascade_covariance(stats: ChannelStatistics) -> np.ndarray:
-    """Covariance of the stacked channel [h; vec(G dg(f))], size M(L+1) square.
-
-    The direct block is beta_direct * R_bs; the reflected block is
-    beta_bs_irs * beta_irs_ue * kron(R_irs o R_irs, R_bs) where ``o`` is the
-    elementwise product. Cross blocks vanish because the links are independent
-    and zero mean.
-    """
-    M, L = stats.M, stats.L
-    dim = M * (L + 1)
-    cov = np.zeros((dim, dim))
-    cov[:M, :M] = stats.beta_direct * stats.R_bs
-    cov[M:, M:] = stats.beta_bs_irs * stats.beta_irs_ue * np.kron(
-        stats.R_irs * stats.R_irs, stats.R_bs
-    )
-    return cov
 
 
 def channel_statistics(config: SystemConfig, pos_ue: tuple[float, float, float] | None = None) -> ChannelStatistics:

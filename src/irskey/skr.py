@@ -23,7 +23,6 @@ from .probing import ProbeDesign, downlink_probe, uplink_probe
 __all__ = [
     "SkrReport",
     "closed_form_bits",
-    "combined_covariance",
     "effective_variance",
     "per_mode_objective",
     "skr_closed_form",
@@ -97,17 +96,6 @@ def _variance(phases: np.ndarray, stats: ChannelStatistics, gains=None):
     return direct + cascade * quad, squared_theta
 
 
-def combined_covariance(design: ProbeDesign, stats: ChannelStatistics) -> np.ndarray:
-    """Covariance of the noiseless combined observation P^T (h + G dg(phases) f).
-
-    Equals the sandwich of the cascade covariance with kron(phases_ext, P),
-    evaluated in the factored form var(phases) * P^T R_bs P^* without building
-    the M(L+1)-square cascade covariance.
-    """
-    p = design.precoder
-    return _variance(design.phases, stats)[0] * (p.T @ stats.R_bs @ p.conj())
-
-
 def effective_variance(phases: np.ndarray, stats: ChannelStatistics) -> float:
     """Per-antenna variance of the combined channel for unit-modulus reflection phases."""
     theta = np.asarray(phases)
@@ -145,8 +133,9 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     D2 = s / (power_b s + N) are the downlink SNR without and with u known.
     Both log-determinants are of identity-plus-PSD matrices: nothing cancels.
 
-    Returns (nats, magnitude, g_a, g_var), ``magnitude`` = |ld1| + |ld2| (the
-    roundoff scale of ``nats``). With ``want_grad``, g_a = dMI/dA^* =
+    Returns (nats, magnitude, g_a, g_var, k), ``magnitude`` = |ld1| + |ld2| (the
+    roundoff scale of ``nats``) and k = [I + A^H D1 A, I + A^H D2 A], the
+    matrices factored. With ``want_grad``, g_a = dMI/dA^* =
     D1 A T1 - D2 A T2 and g_var = dMI/dvar = tr(T1 A^H lam A) / N -
     tr(T2 A^H (N lam / (power_b s + N)^2) A), T_i = (I + A^H D_i A)^-1;
     otherwise both are None. D1 and D2 are stacked on a new first axis, so
@@ -159,20 +148,22 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     ld1, ld2 = _logdet_psd(k)
     nats, magnitude = ld1 - ld2, np.abs(ld1) + np.abs(ld2)
     if not want_grad:
-        return nats, magnitude, None, None
+        return nats, magnitude, None, None, k
     x = a @ np.linalg.inv(k)  # A T_1, A T_2
     g_a = np.subtract(*(d[..., None] * x))
     w1, w2 = np.sum(x * a.conj(), axis=-1).real  # diagonals of A T_i A^H
     g_var = np.sum(lam * (w1 / noise - w2 * (noise / den) / den), axis=-1)  # den**2 may overflow
-    return nats, magnitude, g_a, g_var
+    return nats, magnitude, g_a, g_var, k
 
 
-# The unrotated core forms A^H D A with an error of ~eps times its largest
-# entry, at most S = max(D) max_j G_jj for the precoder Gram G = A^H A. A weak
-# precoder direction (s_min^2 = rho^2 max_j G_jj) has an SNR of at least
-# min(D) s_min^2 = rho^2 S / kappa, kappa = lam_max / lam_min of R_bs, so the
-# rate moves by up to ~eps S / (1 + rho^2 S / kappa) nats. Designs whose bound
-# may exceed this fraction of their rate are evaluated in the singular basis of P.
+# Forming A^H D_i A carries an error of ~eps times its largest entry, which a
+# PSD matrix holds on its diagonal: S'_i = max_j (K_i)_jj - 1 for K_i = I + A^H D_i A.
+# K_i's smallest eigenvalue is 1 + mu_i, mu_i the SNR of its weakest direction, so
+# logdet K_i moves by up to ~eps S'_i / (1 + mu_i) nats. This holds for K_1 and
+# K_2 alike (D_2 <= D_1 saturates at 1 / power_b, and S'_2 with it). Designs for
+# which either bound may exceed this fraction of their rate are evaluated in the
+# singular basis of P, as are those with a mu_i <= M eps S'_i, which forming K_i
+# cannot tell from 0: there the rank rule decides.
 _UNROTATED_RTOL = 1e-14
 
 
@@ -186,42 +177,44 @@ def closed_form_bits(
     """Exact SKR in bits of K designs: precoders [K, M, M], phases [K, L] -> [K].
 
     Every design goes through ``_whitened_mi`` with A = U^H P^*, and keeps that
-    rate unless its singular values fail s_min^2 > tau max_j G_jj, where tau >= M eps
-    keeps the error a weak precoder direction causes under _UNROTATED_RTOL of the
-    rate. A small rate, a difference of cancelling log-determinants, can be further
-    off on either route (test_low_snr_rate_keeps_its_digits allows 5e-14). Designs
-    that fail are evaluated together in the singular basis of P: singular values
-    s_i <= M eps s_max are roundoff and zeroed with their range basis columns (a zero
-    precoder reads 0 bits), the rest span the range of P^* that the uplink
-    observes, and R_bs is compressed onto it. A Cholesky certificate on
-    G - tau max_j G_jj I, judged per design, proves the test and skips the SVD,
-    so a design's bits do not depend on the batch.
+    rate unless either of its log-determinants fails mu_i > c_i, where
+    c_i = eps S'_i / (_UNROTATED_RTOL MI) - 1, clipped to [M eps S'_i, S'_i], keeps
+    the error a weak direction causes in logdet K_i under _UNROTATED_RTOL of the
+    rate (c_i = S'_i, a certain failure, for a rate that is not positive). A small
+    rate, a difference of cancelling log-determinants, can be further off on either
+    route (test_low_snr_rate_keeps_its_digits allows 5e-14). A Cholesky certificate
+    on K_i - (1 + c_i) I, judged per matrix, proves the test and skips the rest, so
+    a design's bits do not depend on the batch; where it fails, the smallest
+    eigenvalue of K_i decides. Designs that fail are evaluated together in the
+    singular basis of P: singular values s_i <= M eps s_max are roundoff and zeroed
+    with their range basis columns (a zero precoder reads 0 bits), the rest span the
+    range of P^* that the uplink observes, and R_bs is compressed onto it.
     """
     p = np.asarray(precoders)
-    gram = np.swapaxes(p, -1, -2) @ p.conj()
-    if not np.isfinite(gram).all():
-        raise NumericalError("precoder Gram matrix has non-finite entries")
+    if not np.isfinite(p).all():
+        raise NumericalError("precoder has non-finite entries")
     var = _variance(phases, stats)[0]
     if not np.isfinite(var).all():
         raise NumericalError("effective variance is not finite")
     lam, basis = stats.R_bs_eigh
     m = p.shape[-1]
     eps = np.finfo(float).eps
-    nats, magnitude, _, _ = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
-    scale = np.einsum("kii->ki", gram).real.max(axis=-1)  # max_j G_jj
+    nats, magnitude, _, _, k = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
+    peak = np.einsum("...ii->...i", k).real.max(axis=-1) - 1.0  # S'_1, S'_2: [2, K]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero precoder has no rate to keep
-        bound = eps / (_UNROTATED_RTOL * nats) - noise / (var * lam[-1] * scale)
-        tau = np.where(nats > 0.0, np.clip(bound * (lam[-1] / lam[0]), m * eps, 1.0), 1.0)
-    doubt = np.flatnonzero(~_positive_definite(gram - (tau * scale)[:, None, None] * np.eye(m)))
-    if doubt.size:
-        left, sv, _ = np.linalg.svd(p[doubt])
-        weak = sv[:, -1] ** 2 <= tau[doubt] * scale[doubt]  # the certificate's test
-        keep = _kept(sv[weak], m)  # the rest are roundoff, zeroed with their columns of the range basis
-        range_ = left[weak].conj() * keep[:, None, :]  # orthonormal basis of the range of P^*, padded with 0
+        need = np.where(nats > 0.0, eps * peak / (_UNROTATED_RTOL * nats) - 1.0, peak)
+    c = np.clip(need, m * eps * peak, peak)
+    certified = _positive_definite((k - (1.0 + c)[..., None, None] * np.eye(m)).reshape(-1, m, m))
+    doubt = np.flatnonzero(~certified.reshape(c.shape).all(axis=0))
+    weak = (np.linalg.eigvalsh(k[:, doubt])[..., 0] - 1.0 <= c[:, doubt]).any(axis=0)  # the certificate's test
+    rows = doubt[weak]
+    if rows.size:
+        left, sv, _ = np.linalg.svd(p[rows])
+        keep = _kept(sv, m)  # the rest are roundoff, zeroed with their columns of the range basis
+        range_ = left.conj() * keep[:, None, :]  # orthonormal basis of the range of P^*, padded with 0
         lam_r, basis_r = np.linalg.eigh(np.swapaxes(range_, -1, -2).conj() @ stats.R_bs @ range_)
-        a = np.swapaxes(basis_r, -1, -2).conj() * (keep * sv[weak])[:, None, :]  # P^* = range_ diag(sv) V^T
-        rows = doubt[weak]
-        nats[rows], magnitude[rows], _, _ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
+        a = np.swapaxes(basis_r, -1, -2).conj() * (keep * sv)[:, None, :]  # P^* = range_ diag(sv) V^T
+        nats[rows], magnitude[rows], *_ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
     return _nonnegative_bits(nats / _LN2, magnitude / _LN2)
 
 

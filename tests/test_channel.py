@@ -8,7 +8,6 @@ from irskey import (
     ConfigError,
     SystemConfig,
     bs_correlation,
-    cascade_covariance,
     channel_statistics,
     dbm_to_mw,
     irs_correlation,
@@ -20,6 +19,8 @@ from irskey import (
     sample_realization,
 )
 from irskey.channel import _complex_normal, psd_sqrt
+
+from _reference import cascade_covariance
 
 
 # --------------------------------------------------------------------------

@@ -128,10 +128,10 @@ def test_variance_gradient_matches_the_exact_derivative(noise_dbm):
 
 @pytest.mark.parametrize("m, power_dbm", [(8, 30.0), (32, 40.0)])
 def test_weak_direction_just_past_the_route_threshold_keeps_its_digits(m, power_dbm, monkeypatch):
-    # the route test scales s_min^2 by max_j G_jj, which flat column norms (a DFT right factor)
-    # make tr(G) / M. The weak singular value is bisected to the lowest that skips the SVD, and
-    # the design 10% above it is checked. At 30 dBm tau's M eps floor sets the threshold, at
-    # 40 dBm the error bound does
+    # the route test compares the weakest SNR of each K_i = I + A^H D_i A with a threshold
+    # scaled by its largest diagonal entry, which a DFT right factor spreads the weak direction
+    # over. The weak singular value is bisected to the lowest that skips the SVD, and the
+    # design 10% above it is checked. At both points the threshold's M eps floor sets it
     cfg = SystemConfig(M=m, power_a=dbm_to_mw(power_dbm), power_b=dbm_to_mw(power_dbm))
     stats = channel_statistics(cfg)
     rng = np.random.default_rng(m)

@@ -19,7 +19,6 @@ from irskey import (
     NumericalError,
     ProbeDesign,
     SystemConfig,
-    cascade_covariance,
     channel_statistics,
     dbm_to_mw,
     effective_variance,
@@ -31,7 +30,9 @@ from irskey import (
     skr_closed_form,
     waterfill,
 )
-from irskey.skr import _mi_bits_from_joint, closed_form_bits, combined_covariance
+from irskey.skr import _mi_bits_from_joint, closed_form_bits
+
+from _reference import cascade_covariance, combined_covariance
 
 
 def _reference_bits(p, theta, stats, power_b, noise):

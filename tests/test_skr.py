@@ -19,7 +19,7 @@ from irskey import (
     bs_correlation,
     channel_statistics,
     combined_channel,
-    combined_covariance,
+    dbm_to_mw,
     downlink_probe,
     effective_variance,
     equal_phase_vector,
@@ -34,6 +34,8 @@ from irskey import (
 )
 from irskey import _blas, skr
 from irskey.channel import ChannelRealization, _complex_normal
+
+from _reference import combined_covariance
 
 _LN2 = math.log(2.0)
 
@@ -248,7 +250,7 @@ def test_closed_form_rejects_indefinite_signal_covariance(gains, min_eig):
 
 
 def _force_singular_basis(monkeypatch):
-    """Fail the conditioning certificate for every design, so each one takes the SVD."""
+    """Fail the conditioning certificate for every matrix, so each design's route is decided by eigenvalues."""
     monkeypatch.setattr(skr, "_positive_definite", lambda mats: np.zeros(len(mats), dtype=bool))
 
 
@@ -280,9 +282,9 @@ def test_closed_form_nan_phases_are_a_numerical_error(small_stats, rng):
 
 
 def test_closed_form_certificates_only_skip_work(rng, monkeypatch):
-    # with the Cholesky certificate failing, every design takes the SVD, which
-    # keeps the unrotated rate wherever the certificate's test holds: the bits
-    # and errors stay the same
+    # with the Cholesky certificate failing, every design is judged by K's smallest
+    # eigenvalues, which keep the unrotated rate wherever the certificate's test
+    # holds: the bits and errors stay the same
     stats = _direct_only_stats(bs_correlation(0.5, 3))
     precoders = np.stack([_random_design(3, 1, rng).precoder for _ in range(4)])
     precoders[1, :, 2] = 0.0
@@ -315,21 +317,45 @@ def test_closed_form_covers_every_rank_with_one_singular_basis_call(monkeypatch)
     assert bits[0] == 0.0 and np.all(np.diff(bits) > 0.0)
 
 
-@pytest.mark.parametrize("eta", [0.3, 0.9])
-def test_closed_form_keeps_only_unrotated_rates_within_the_route_tolerance(eta, monkeypatch):
-    # a weak direction's SNR is only known to be at least min(D) s_min^2, lam_max / lam_min
-    # below max(D) s_min^2; at eta = 0.9 (a ratio of ~190) a route test without that factor
-    # kept unrotated rates 3.6e-14 off. The singular basis, taken for all designs when the
-    # tolerance is 0, is the reference
-    cfg = SystemConfig(M=16, L_h=4, L_v=4, eta=eta, power_a=1e7, power_b=1e7)
+def _route_batch(eta, power_a_dbm, power_b_dbm):
+    """closed_form_bits arguments for 100 random M = 16 designs at L = 16, seed 16."""
+    cfg = SystemConfig(M=16, L_h=4, L_v=4, eta=eta, power_a=dbm_to_mw(power_a_dbm), power_b=dbm_to_mw(power_b_dbm))
     stats = channel_statistics(cfg)
     rng = np.random.default_rng(16)
     designs = [_random_design(16, cfg.L, rng, cfg.power_a) for _ in range(100)]
-    args = np.stack([d.precoder for d in designs]), np.stack([d.phases for d in designs]), stats, cfg.power_b, cfg.noise
+    return np.stack([d.precoder for d in designs]), np.stack([d.phases for d in designs]), stats, cfg.power_b, cfg.noise
+
+
+@pytest.mark.parametrize("eta, power_a_dbm, power_b_dbm", [
+    pytest.param(0.3, 70.0, 70.0, id="0.3"),
+    pytest.param(0.9, 70.0, 70.0, id="0.9"),
+    pytest.param(0.3, 70.0, 10.0, id="0.3-70/10dBm"),
+    pytest.param(0.3, 10.0, 70.0, id="0.3-10/70dBm"),
+])
+def test_closed_form_keeps_only_unrotated_rates_within_the_route_tolerance(eta, power_a_dbm, power_b_dbm, monkeypatch):
+    # every rate kept unrotated is within the route tolerance of the singular basis, taken for
+    # all designs when the tolerance is 0. At eta = 0.9 (lam_max / lam_min ~190) a test that
+    # puts a weak direction's SNR at max(D) s_min^2 keeps rates 3.6e-14 off; unequal powers
+    # exercise K_2's certificate
+    args = _route_batch(eta, power_a_dbm, power_b_dbm)
     routed, rtol = skr.closed_form_bits(*args), skr._UNROTATED_RTOL
     monkeypatch.setattr(skr, "_UNROTATED_RTOL", 0.0)
     rotated = skr.closed_form_bits(*args)
     assert np.abs(routed - rotated).max() <= rtol * rotated.min()
+
+
+def test_strong_correlation_designs_mostly_skip_the_singular_basis(monkeypatch):
+    # K_i's smallest eigenvalue is a weak direction's SNR itself: at eta = 0.9 a bound on it
+    # through lam_max / lam_min of R_bs sends 20 of these designs to the SVD at 20 dBm and
+    # all 100 at 70 dBm
+    rows = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, *args, **kwargs: rows.append(len(mat)) or svd(mat, *args, **kwargs))
+    for power_dbm, most in ((20.0, 0), (70.0, 49)):
+        args = _route_batch(0.9, power_dbm, power_dbm)
+        rows.clear()
+        skr.closed_form_bits(*args)
+        assert sum(rows) <= most, f"{sum(rows)} of 100 designs took the SVD at {power_dbm} dBm"
 
 
 def _whitened_mi_two_calls(a, lam, var, power_b, noise, want_grad):
