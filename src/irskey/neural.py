@@ -271,7 +271,7 @@ def _loss_and_grad(
     gamma = beta_bs_irs * beta_irs_ue
     var, squared_theta = _variance(phases, stats, (beta_direct, gamma))  # per-sample effective variance
     lam, basis = stats.R_bs_eigh
-    mi_nats, _, g_a, g_var, _ = _whitened_mi(
+    mi_nats, g_a, g_var, _ = _whitened_mi(
         basis.conj().T @ precoder.conj(), lam, var, system.power_b, system.noise, want_grad=want_grad
     )
     loss_bits = float(-np.mean(mi_nats) / _LN2)

@@ -2,10 +2,10 @@
 
 The SKR of one probing round is the Gaussian mutual information between the
 two observations, in bits. The closed form and the trainer's loss share one
-core, ``_whitened_mi``: in the eigenbasis of R_bs it is a difference of two
-identity-plus-PSD log-determinants, with cogradients on request. Only Monte
-Carlo uses the three-logdet form logdet(R_a) + logdet(R_b) - logdet(R_joint),
-on sample covariances.
+core, ``_whitened_mi``, a difference of two identity-plus-PSD log-determinants
+in the eigenbasis of R_bs, with cogradients on request; the closed form's
+singular basis takes that difference as one (``_singular_basis_mi``). Monte
+Carlo takes logdet(R_a) + logdet(R_b) - logdet(R_joint) of sample covariances.
 """
 
 from __future__ import annotations
@@ -105,22 +105,13 @@ def effective_variance(phases: np.ndarray, stats: ChannelStatistics) -> float:
     return float(_variance(theta, stats)[0])
 
 
-# A key rate is a difference of two log-determinants; a negative result within
-# this fraction of their summed magnitudes (in bits) is roundoff and reads as 0.
-_CLAMP_RTOL = 1e-10
-
-
-def _nonnegative_bits(bits: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Clamp roundoff-level negative rates to 0; reject larger ones and non-finite ones."""
-    bits = np.asarray(bits, dtype=float)
+def _nonnegative_bits(bits: np.ndarray) -> np.ndarray:
+    """Closed-form or approximate key rates, >= 0 by construction: a negative or non-finite one raises."""
     if not np.isfinite(bits).all():
         raise NumericalError("key rate is not finite")
-    beyond = bits < -_CLAMP_RTOL * np.asarray(scale)
-    if np.any(beyond):
-        raise NumericalError(
-            f"key rate {float(bits[beyond].min()):.3e} bits is negative beyond roundoff"
-        )
-    return np.where(bits <= 0.0, 0.0, bits)
+    if np.any(bits < 0.0):
+        raise NumericalError(f"key rate {float(bits.min()):.3e} bits is negative")
+    return bits
 
 
 def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float, noise: float, want_grad=False):
@@ -131,10 +122,8 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     u = sqrt(power_b) c + n_a, so with signal variances s = var lam,
     MI = logdet(I + A^H D1 A) - logdet(I + A^H D2 A), where D1 = s / N and
     D2 = s / (power_b s + N) are the downlink SNR without and with u known.
-    Both log-determinants are of identity-plus-PSD matrices: nothing cancels.
 
-    Returns (nats, magnitude, g_a, g_var, k), ``magnitude`` = |ld1| + |ld2| (the
-    roundoff scale of ``nats``) and k = [I + A^H D1 A, I + A^H D2 A], the
+    Returns (nats, g_a, g_var, k), k = [I + A^H D1 A, I + A^H D2 A] the
     matrices factored. With ``want_grad``, g_a = dMI/dA^* =
     D1 A T1 - D2 A T2 and g_var = dMI/dvar = tr(T1 A^H lam A) / N -
     tr(T2 A^H (N lam / (power_b s + N)^2) A), T_i = (I + A^H D_i A)^-1;
@@ -146,14 +135,28 @@ def _whitened_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float
     d = np.stack([s / noise, s / den])  # D1, D2
     k = np.eye(a.shape[-1]) + np.swapaxes(a, -1, -2).conj() @ (d[..., None] * a)
     ld1, ld2 = _logdet_psd(k)
-    nats, magnitude = ld1 - ld2, np.abs(ld1) + np.abs(ld2)
+    nats = ld1 - ld2
     if not want_grad:
-        return nats, magnitude, None, None, k
+        return nats, None, None, k
     x = a @ np.linalg.inv(k)  # A T_1, A T_2
     g_a = np.subtract(*(d[..., None] * x))
     w1, w2 = np.sum(x * a.conj(), axis=-1).real  # diagonals of A T_i A^H
     g_var = np.sum(lam * (w1 / noise - w2 * (noise / den) / den), axis=-1)  # den**2 may overflow
-    return nats, magnitude, g_a, g_var, k
+    return nats, g_a, g_var, k
+
+
+def _singular_basis_mi(a: np.ndarray, lam: np.ndarray, var: np.ndarray, power_b: float, noise: float):
+    """``_whitened_mi``'s nats as one identity-plus-PSD log-determinant, >= 0 by construction.
+
+    K1 = K2 + A^H (D1 - D2) A with D1 - D2 = power_b D1 D2; for K2 = L2 L2^H, MI = sum_i
+    log1p(sigma_i^2) over the singular values of B = L2^-1 A^H (D1 - D2)^1/2. Nothing cancels.
+    """
+    s = var[..., None] * lam
+    d2 = s / (power_b * s + noise)
+    a_h = np.swapaxes(a, -1, -2).conj()
+    chol = np.linalg.cholesky(np.eye(a.shape[-1]) + a_h @ (d2[..., None] * a))
+    b = np.linalg.solve(chol, a_h * np.sqrt(s / noise * (power_b * d2))[..., None, :])
+    return np.log1p(np.linalg.svd(b, compute_uv=False) ** 2).sum(axis=-1)
 
 
 # Forming A^H D_i A carries an error of ~eps times its largest entry, which a
@@ -180,15 +183,15 @@ def closed_form_bits(
     rate unless either of its log-determinants fails mu_i > c_i, where
     c_i = eps S'_i / (_UNROTATED_RTOL MI) - 1, clipped to [M eps S'_i, S'_i], keeps
     the error a weak direction causes in logdet K_i under _UNROTATED_RTOL of the
-    rate (c_i = S'_i, a certain failure, for a rate that is not positive). A small
-    rate, a difference of cancelling log-determinants, can be further off on either
-    route (test_low_snr_rate_keeps_its_digits allows 5e-14). A Cholesky certificate
-    on K_i - (1 + c_i) I, judged per matrix, proves the test and skips the rest, so
-    a design's bits do not depend on the batch; where it fails, the smallest
-    eigenvalue of K_i decides. Designs that fail are evaluated together in the
-    singular basis of P: singular values s_i <= M eps s_max are roundoff and zeroed
-    with their range basis columns (a zero precoder reads 0 bits), the rest span the
-    range of P^* that the uplink observes, and R_bs is compressed onto it.
+    rate (c_i = S'_i, a certain failure, for a rate that is not positive; a small
+    kept rate, a difference of cancelling log-determinants, can be further off). A
+    Cholesky certificate on K_i - (1 + c_i) I, judged per matrix, proves the test
+    and skips the rest, so a design's bits do not depend on the batch; where it
+    fails, the smallest eigenvalue of K_i decides. Designs that fail are evaluated
+    together in the singular basis of P: singular values s_i <= M eps s_max are
+    roundoff and zeroed with their range basis columns, the rest span the range of
+    P^* that the uplink observes, R_bs is compressed onto it, and the rate is
+    ``_singular_basis_mi``. So every rate is >= 0 (a zero precoder reads 0 bits).
     """
     p = np.asarray(precoders)
     if not np.isfinite(p).all():
@@ -199,7 +202,7 @@ def closed_form_bits(
     lam, basis = stats.R_bs_eigh
     m = p.shape[-1]
     eps = np.finfo(float).eps
-    nats, magnitude, _, _, k = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
+    nats, _, _, k = _whitened_mi(basis.conj().T @ p.conj(), lam, var, power_b, noise)
     peak = np.einsum("...ii->...i", k).real.max(axis=-1) - 1.0  # S'_1, S'_2: [2, K]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero precoder has no rate to keep
         need = np.where(nats > 0.0, eps * peak / (_UNROTATED_RTOL * nats) - 1.0, peak)
@@ -214,8 +217,8 @@ def closed_form_bits(
         range_ = left.conj() * keep[:, None, :]  # orthonormal basis of the range of P^*, padded with 0
         lam_r, basis_r = np.linalg.eigh(np.swapaxes(range_, -1, -2).conj() @ stats.R_bs @ range_)
         a = np.swapaxes(basis_r, -1, -2).conj() * (keep * sv)[:, None, :]  # P^* = range_ diag(sv) V^T
-        nats[rows], magnitude[rows], *_ = _whitened_mi(a, lam_r, var[rows], power_b, noise)
-    return _nonnegative_bits(nats / _LN2, magnitude / _LN2)
+        nats[rows] = _singular_basis_mi(a, lam_r, var[rows], power_b, noise)
+    return _nonnegative_bits(nats / _LN2)
 
 
 def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: float, noise: float) -> SkrReport:
@@ -227,18 +230,18 @@ def skr_closed_form(design: ProbeDesign, stats: ChannelStatistics, power_b: floa
 def per_mode_objective(q, var: float, power_a: float, power_b: float, noise: float):
     """Approximate-SKR contribution in bits of eigenmodes carrying squared gains ``q``.
 
-    ``q`` is a scalar or an array, and the result has its shape. Each mode's
-    logarithm is ``math.log2``, so a mode's value does not depend on how many
-    modes are evaluated together.
+    ``q`` is a scalar or an array, and the result has its shape. A mode's value,
+    log1p(power_b sig^2 / (N (power_b sig + power_a (sig + N)))) / ln 2 with
+    sig = power_a var q, is >= 0 and takes ``math.log1p`` one mode at a time,
+    so it does not depend on how many modes are evaluated together.
     """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ConfigError(f"mode power must be nonnegative, got {q.min()}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf/nan, as in float math
         sig = power_a * var * q
-        num = (power_b * sig + noise * power_a) * (sig + noise)
-        ratio = num / (noise * power_b * sig + noise * power_a * sig + power_a * noise**2)
-    return np.reshape([math.log2(r) for r in ratio.ravel().tolist()], q.shape)[()]
+        snr = power_b * sig * sig / (noise * (power_b * sig + power_a * (sig + noise)))
+    return np.reshape([math.log1p(x) / _LN2 for x in snr.ravel().tolist()], q.shape)[()]
 
 
 def skr_approximate(
@@ -254,9 +257,7 @@ def skr_approximate(
     ``precoder_norm`` is the unit-budget precoder (trace of its Gram equal to
     M); the actual precoder is sqrt(power_a) times it. The result is the sum
     of ``per_mode_objective`` over the eigenvalues of
-    precoder_norm^T R_bs precoder_norm^*. Each mode's value is the log of a
-    ratio, with roundoff of order one ulp, so the clamp takes one bit per mode
-    as its scale.
+    precoder_norm^T R_bs precoder_norm^*, each mode's value >= 0.
     """
     p_e = np.asarray(precoder_norm)
     m = p_e.shape[0]
@@ -270,8 +271,7 @@ def skr_approximate(
     a = basis.conj().T @ p_e.conj()  # the sandwich p_e^T R_bs p_e^* is A^H diag(lam) A
     q = np.linalg.eigvalsh(a.conj().T @ (lam[:, None] * a))
     modes = per_mode_objective(np.clip(q, 0.0, None), var, power_a, power_b, noise)
-    bits = _nonnegative_bits(np.sum(modes), m)
-    return SkrReport(bits=float(bits), method="approximate")
+    return SkrReport(bits=float(_nonnegative_bits(np.sum(modes))), method="approximate")
 
 
 def _batch_second_moment(

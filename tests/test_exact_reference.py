@@ -7,8 +7,9 @@ takes logdet R_a + logdet R_b - logdet joint in mpmath. Two regimes where
 double precision can lose digits: a precoder just short of rank deficiency,
 and low SNR, where the rate is a small difference of large terms. A weak
 direction just past the closed form's route threshold checks that threshold
-at high SNR. Water-filling designs, rank-deficient at low SNR, are checked
-against their per-mode rates.
+at high SNR, and a design that only K_2's certificate sends to the singular
+basis checks that half of it. Water-filling designs, rank-deficient at low
+SNR, are checked against their per-mode rates.
 """
 
 import math
@@ -17,8 +18,9 @@ import warnings
 import numpy as np
 import pytest
 
-from irskey import SystemConfig, channel_statistics, dbm_to_mw, effective_variance
+from irskey import SystemConfig, channel_statistics, dbm_to_mw, effective_variance, skr
 from irskey.baseline import waterfill_design
+from irskey.channel import ChannelStatistics, bs_correlation, irs_correlation
 from irskey.skr import _whitened_mi, closed_form_bits
 
 mp = pytest.importorskip("mpmath")
@@ -85,6 +87,45 @@ def test_low_snr_rate_keeps_its_digits(m):
         assert _relative_error(cfg, p, phases) <= 5e-14
 
 
+@pytest.mark.parametrize("eta", [0.3, 0.9])
+def test_low_uplink_power_rate_keeps_its_digits(eta):
+    # at p_b = -160 dBm the rate is ~4e-16 bits, the gap between two nearly equal log-determinants:
+    # every design fails the route test, and the singular basis must keep the rate's relative digits
+    for power_b_dbm in (-40.0, -80.0, -120.0, -160.0):
+        cfg = SystemConfig(M=4, eta=eta, power_a=dbm_to_mw(10.0), power_b=dbm_to_mw(power_b_dbm))
+        stats = channel_statistics(cfg)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            p *= math.sqrt(4 * cfg.power_a / float(np.sum(np.abs(p) ** 2)))
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.L))
+            assert _relative_error(cfg, p, phases) <= 5e-15
+
+
+def test_design_that_only_k2_certificate_sends_to_the_singular_basis(monkeypatch):
+    # singular values spread over 1e-8...1: K_1 passes its certificate, K_2 fails it and
+    # the eigvalsh recheck, and the unrotated rate would be 2.5e-9 off
+    m = 4
+    rng = np.random.default_rng(17)
+    eta = rng.choice([0.3, 0.9])
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    p = (u * 10.0 ** rng.uniform(-8.0, 0.0, m)) @ v
+    var, power_b = 10.0 ** rng.uniform(-14.0, -4.0), 10.0 ** rng.uniform(-3.0, 7.0)
+    noise = 1e-9 * 10.0 ** rng.uniform(-2.0, 2.0)
+    stats = ChannelStatistics(R_bs=bs_correlation(eta, m), R_irs=irs_correlation(1, 1), beta_direct=var,
+                              beta_bs_irs=0.0, beta_irs_ue=1.0)
+    phases = np.ones((1, 1), dtype=complex)
+    verdicts, svds = [], []
+    certify, svd = skr._positive_definite, np.linalg.svd
+    monkeypatch.setattr(skr, "_positive_definite", lambda mats: verdicts.append(certify(mats)) or verdicts[-1])
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, *args, **kwargs: svds.append(1) or svd(mat, *args, **kwargs))
+    got = closed_form_bits(p[None], phases, stats, power_b, noise)[0]
+    assert verdicts[-1].tolist() == [True, False] and svds  # the outermost call judges [K_1, K_2]
+    want = _exact_bits(p, phases[0], stats, power_b, noise)
+    assert abs(got - want) <= 5e-15 * want
+
+
 @pytest.mark.parametrize("eta, power_dbm", [(0.0, -10.0), (0.3, 0.0), (0.9, 30.0)])
 def test_water_filling_design_equals_its_per_mode_rate(eta, power_dbm):
     # the design is diagonal in the eigenbasis of R_bs, so its rate is a sum of
@@ -119,7 +160,7 @@ def test_variance_gradient_matches_the_exact_derivative(noise_dbm):
     a = basis.conj().T @ p.conj()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _whitened_mi(a[None], lam, np.array([var]), cfg.power_b, cfg.noise, want_grad=True)[3][0]
+        got = _whitened_mi(a[None], lam, np.array([var]), cfg.power_b, cfg.noise, want_grad=True)[2][0]
     with mp.workdps(1400):
         want = mp.diff(lambda v: _exact_nats(p, v, stats.R_bs, cfg.power_b, cfg.noise), mp.mpf(var))
     scale = float(np.sum(lam * np.sum(np.abs(a) ** 2, axis=-1))) / cfg.noise  # each term's size bound
