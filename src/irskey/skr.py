@@ -288,20 +288,25 @@ def _batch_second_moment(
     y_a = ``uplink``^T u for an M x r combiner; y_b uses ``design.precoder``.
     Draws in ``_iid_factors`` order (h, g, f), then the BS noise, then the UE
     noise, but never forms G = R_bs^1/2 g R_irs^1/2: per round, in row form,
-    h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with
-    v = (phases o (f_iid R_irs^1/2^T)) R_irs^1/2^T, and g stays as its real
-    and imaginary blocks. The rows c of combined channels then go through
-    ``uplink_probe`` and ``downlink_probe``.
+    h + G dg(phases) f = (h_iid + g v) R_bs^1/2^T with v = f_iid B and one
+    surface operator B = sqrt(beta_bs_irs / 2) (r o phases) r, r = R_irs^1/2^T
+    with its column l scaled by phases_l. g stays as its real and imaginary
+    blocks; each multiplies v viewed as (n, L, 2) real pairs, without a copy.
+    Arrays are dropped once used, so the peak is g's two blocks, f_iid and v,
+    and the three (n, M) draws. The rows c of combined channels then go
+    through ``uplink_probe`` and ``downlink_probe``.
     """
     m = stats.M
     h_iid, g_re, g_im, f_iid = _iid_factors(stats, n, rng)
     noise_a = _complex_normal(rng, n * m, noise).reshape(n, m)
     noise_b = _complex_normal(rng, n * m, noise).reshape(n, m)
     r_irs = stats.R_irs_sqrt.T
-    v = np.sqrt(stats.beta_bs_irs / 2.0) * ((design.phases * (f_iid @ r_irs)) @ r_irs)
-    gv_re = np.einsum("nml,nl->nm", g_re, v.real) - np.einsum("nml,nl->nm", g_im, v.imag)
-    gv_im = np.einsum("nml,nl->nm", g_re, v.imag) + np.einsum("nml,nl->nm", g_im, v.real)
-    c = (h_iid + gv_re + 1j * gv_im) @ stats.R_bs_sqrt.T
+    v = f_iid @ (np.sqrt(stats.beta_bs_irs / 2.0) * ((r_irs * design.phases) @ r_irs))
+    del f_iid
+    pairs = v.view(np.float64).reshape(n, stats.L, 2)  # [..., 0] real, [..., 1] imaginary
+    re, im = g_re @ pairs, g_im @ pairs
+    del g_re, g_im, v, pairs
+    c = (h_iid + (re[..., 0] - im[..., 1]) + 1j * (re[..., 1] + im[..., 0])) @ stats.R_bs_sqrt.T
     y_a = uplink_probe(c, uplink, noise_a, power_b)
     y_b = downlink_probe(c, design.precoder, noise_b)
     z = np.concatenate([y_a, y_b], axis=1)

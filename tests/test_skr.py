@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -537,12 +538,15 @@ def test_monte_carlo_batch_moment_matches_sampled_probing(reference_stats, rng):
     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def test_monte_carlo_range_combiner_matches_projected_moment():
+@pytest.mark.parametrize("random_phases", [False, True], ids=["equal_phases", "random_phases"])
+def test_monte_carlo_range_combiner_matches_projected_moment(random_phases):
     # reference: the 2M-square moment with uplink P, then y_a projected onto an
     # orthonormal basis V_r of the range of P^T by t = blockdiag(V_r, I)
     system = SystemConfig(power_a=1.0, power_b=1.0)  # 0 dBm: water-filling powers 2 of 4 modes
     stats = channel_statistics(system)
     des = baseline_design(system, stats)
+    if random_phases:  # the same rank-2 precoder behind a surface whose phases are not all 1
+        des = ProbeDesign(precoder=des.precoder, phases=np.exp(2j * np.pi * np.random.default_rng(6).random(stats.L)))
     _, sv, vh = np.linalg.svd(des.precoder)
     rank = int(np.sum(sv > 4 * np.finfo(float).eps * sv[0]))
     assert rank == 2
@@ -556,6 +560,22 @@ def test_monte_carlo_range_combiner_matches_projected_moment():
     got = skr._batch_second_moment(des, uplink, *args, np.random.default_rng(5))
     assert got.shape == (rank + 4, rank + 4)
     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_monte_carlo_batch_peak_memory_has_a_formula(reference_stats, rng):
+    # at its peak a batch holds g's two real (n, M, L) blocks, f_iid and v
+    # (n, L complex), and h_iid and the two noises (n, M complex); 1 MiB of slack
+    des = _random_design(4, 25, rng)
+    n, m, l = 20_000, reference_stats.M, reference_stats.L
+    reference_stats.R_irs_sqrt, reference_stats.R_bs_sqrt  # cached before tracing
+    bound = 2 * n * m * l * 8 + 2 * n * l * 16 + 3 * n * m * 16 + 2**20
+    tracemalloc.start()
+    try:
+        skr._batch_second_moment(des, des.precoder, reference_stats, 10.0, 1e-9, n, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB"
 
 
 def test_monte_carlo_is_bit_identical_for_any_pool_size(small_stats, rng, monkeypatch):
